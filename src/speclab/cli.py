@@ -12,10 +12,9 @@ import csv
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import ResolvedRun, load_config, materialize
-from .engine import run_workload
+from .engine import run_cases, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import REPORT_SCHEMA_VERSION, SUMMARY_COLUMNS, render_report, summary_row
@@ -100,23 +99,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(pair: tuple[ResolvedRun, int]) -> list:
-    run, _ = pair
-    return run_workload(run.case, run.prompts)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     _apply_overrides(config, args)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     runs = materialize(config, base_dir)
     out_base = args.out or _default_out(os.path.splitext(os.path.basename(args.config))[0])
-    pairs = [(run, i) for i, run in enumerate(runs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, pairs))
-    else:
-        results = [_run_one(p) for p in pairs]
+    results = run_cases([(run.case, run.prompts) for run in runs], args.jobs)
 
     rows = []
     for i, (run, transcripts) in enumerate(zip(runs, results)):

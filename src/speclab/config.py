@@ -171,6 +171,14 @@ def read_corpus(path: str) -> list[str]:
     return docs
 
 
+def _as(kind: type, value: object, where: str):
+    """``kind(value)``, with a failed conversion reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _build_model(spec: dict, docs_tokens, vocabulary, base_dir: str) -> NGramModel:
     if "model_file" in spec:
         if "order" in spec or "smoothing" in spec:
@@ -180,8 +188,8 @@ def _build_model(spec: dict, docs_tokens, vocabulary, base_dir: str) -> NGramMod
         raise ConfigError("model spec needs 'order' (or 'model_file')")
     return train_ngram(
         docs_tokens,
-        order=int(spec["order"]),
-        smoothing=float(spec.get("smoothing", 0.1)),
+        order=_as(int, spec["order"], "order"),
+        smoothing=_as(float, spec.get("smoothing", 0.1), "smoothing"),
         vocabulary=vocabulary,
     )
 
@@ -191,17 +199,22 @@ def parse_policy(obj: dict) -> Policy:
     if kind == "fixed_ar":
         if "draft_len" not in obj:
             raise ConfigError("fixed_ar policy needs draft_len")
-        return FixedAR(int(obj["draft_len"]))
+        return FixedAR(_as(int, obj["draft_len"], "policy draft_len"))
     if kind == "fixed_dllm":
         if "draft_len" not in obj:
             raise ConfigError("fixed_dllm policy needs draft_len")
-        return FixedDLLM(int(obj["draft_len"]), str(obj.get("mode", "confidence_aware")))
+        return FixedDLLM(
+            _as(int, obj["draft_len"], "policy draft_len"),
+            str(obj.get("mode", "confidence_aware")),
+        )
     if kind == "fail_fast":
         return FailFast(
             FailFastConfig(
-                step_size=int(obj.get("step_size", 10)),
-                confidence_threshold=float(obj.get("confidence_threshold", 0.45)),
-                max_length=int(obj.get("max_length", 60)),
+                step_size=_as(int, obj.get("step_size", 10), "policy step_size"),
+                confidence_threshold=_as(
+                    float, obj.get("confidence_threshold", 0.45), "policy confidence_threshold"
+                ),
+                max_length=_as(int, obj.get("max_length", 60), "policy max_length"),
                 allow_overshoot=bool(obj.get("allow_overshoot", False)),
             )
         )
@@ -247,8 +260,10 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         target = model_cache[target_key]
 
         drafter_spec = dict(resolved["drafter"])
-        block_size = int(drafter_spec.pop("block_size", 8))
-        unmask_threshold = float(drafter_spec.pop("unmask_threshold", 0.9))
+        block_size = _as(int, drafter_spec.pop("block_size", 8), "drafter block_size")
+        unmask_threshold = _as(
+            float, drafter_spec.pop("unmask_threshold", 0.9), "drafter unmask_threshold"
+        )
         drafter_key = json.dumps(
             ["d", corpus_path, tok_kind, drafter_spec, target_key], sort_keys=True
         )
@@ -286,9 +301,9 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                 raise ConfigError("prompt_sample needs 'count'")
             texts = sample_prompts(
                 docs,
-                int(spec["count"]),
-                length=int(spec.get("length", 12)),
-                seed=int(spec.get("seed", 0)),
+                _as(int, spec["count"], "prompt_sample count"),
+                length=_as(int, spec.get("length", 12), "prompt_sample length"),
+                seed=_as(int, spec.get("seed", 0), "prompt_sample seed"),
             )
             prompts = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts]
 
@@ -315,8 +330,8 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                     policy=policy,
                     cost=cost,
                     verifier=verifier,
-                    max_tokens=int(resolved.get("max_tokens", 256)),
-                    seed=int(resolved.get("seed", 0)),
+                    max_tokens=_as(int, resolved.get("max_tokens", 256), "max_tokens"),
+                    seed=_as(int, resolved.get("seed", 0), "seed"),
                     config_snapshot=snapshot,
                 ),
                 prompts=prompts,

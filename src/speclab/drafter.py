@@ -12,6 +12,7 @@ short-context backoff and the proposal quality drops accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -142,6 +143,24 @@ def denoise_step(backbone: NGramModel, state: BlockState, unmask_threshold: floa
     return [p[0] for p in chosen]
 
 
+def modal_chain(
+    backbone: NGramModel, prefix: list[int], n: int
+) -> tuple[list[int], list[float], list[np.ndarray]]:
+    """The backbone's argmax chain: ``n`` tokens after ``prefix``, each
+    conditioned on the prefix plus the tokens chosen before it, with their
+    confidences and the distributions they were read from."""
+    chain = list(prefix)
+    confidences: list[float] = []
+    distributions: list[np.ndarray] = []
+    for _ in range(n):
+        dist = backbone.next_distribution(chain)
+        tok = argmax_token(dist)
+        chain.append(tok)
+        confidences.append(float(dist[tok]))
+        distributions.append(dist)
+    return chain[len(prefix) :], confidences, distributions
+
+
 def one_step_block(backbone: NGramModel, prefix: list[int], block_size: int) -> BlockState:
     """Generate a whole block in a single forward pass.
 
@@ -149,16 +168,7 @@ def one_step_block(backbone: NGramModel, prefix: list[int], block_size: int) -> 
     at slots ``0..j-1`` of this same pass (the modal chain), so one cheap pass
     still yields a coherent block; the emulator charges it as one pass.
     """
-    state = BlockState(prefix=list(prefix), block_size=block_size)
-    chain = list(prefix)
-    for j in range(block_size):
-        dist = backbone.next_distribution(chain)
-        tok = argmax_token(dist)
-        state.tokens[j] = tok
-        state.confidences[j] = float(dist[tok])
-        state.distributions[j] = dist
-        chain.append(tok)
-    return state
+    return BlockState(list(prefix), block_size, *modal_chain(backbone, prefix, block_size))
 
 
 def fixed_step_block(
@@ -179,9 +189,7 @@ def fixed_step_block(
     if not 1 <= steps <= block_size:
         raise ConfigError(f"steps must be in 1..{block_size}, got {steps}")
     state = BlockState(prefix=list(prefix), block_size=block_size)
-    bridge = list(prefix)
-    for _ in range(block_size):
-        bridge.append(argmax_token(backbone.next_distribution(bridge)))
+    bridge = list(prefix) + modal_chain(backbone, prefix, block_size)[0]
     usable = backbone.order - 1
     base, rem = divmod(block_size, steps)
     slot = 0
@@ -215,8 +223,17 @@ class DiffusionDrafter:
                 f"unmask threshold must be in (0, 1], got {self.unmask_threshold}"
             )
 
-    def session(self, prefix: list[int], mode: str = CONFIDENCE_AWARE) -> "DraftSession":
-        return DraftSession(self, prefix, mode)
+    def one_step_blocks(self, prefix: list[int]) -> Iterator[BlockState]:
+        """Consecutive one-step blocks after ``prefix``, one pass each.
+
+        The stream is endless; a caller that grows its draft chunk by chunk
+        pulls blocks until the chunk is covered and pays for each one.
+        """
+        context = list(prefix)
+        while True:
+            state = one_step_block(self.backbone, context, self.block_size)
+            context += state.tokens
+            yield state
 
     def draft_tokens(self, prefix: list[int], n: int, mode: str = CONFIDENCE_AWARE) -> DraftProposal:
         """Draft ``n`` tokens by decoding consecutive blocks.
@@ -228,86 +245,25 @@ class DiffusionDrafter:
         block is confidence-ranked, so trailing blocks routinely cost passes
         for tokens that are thrown away).
         """
-        session = self.session(prefix, mode)
-        session.extend_to(n)
-        return session.proposal(n)
-
-
-class DraftSession:
-    """Incremental block-wise drafting against a fixed prefix.
-
-    The adaptive policy grows its draft chunk by chunk within a round; the
-    session keeps partially denoised block state between extensions so that
-    already-paid passes are never repeated.
-    """
-
-    def __init__(self, drafter: DiffusionDrafter, prefix: list[int], mode: str) -> None:
         if mode not in DRAFT_MODES:
             raise ConfigError(f"unknown draft mode: {mode!r}")
-        self._drafter = drafter
-        self._prefix = list(prefix)
-        self._mode = mode
-        self._done_tokens: list[int] = []
-        self._done_confs: list[float] = []
-        self._done_dists: list[np.ndarray] = []
-        self._block: BlockState | None = None
-        self.forward_passes = 0
-
-    @property
-    def available(self) -> int:
-        """Number of contiguous drafted positions, starting at the prefix."""
-        n = len(self._done_tokens)
-        if self._block is not None:
-            n += self._block.leftmost_run()
-        return n
-
-    def _finalize_block(self, state: BlockState) -> None:
-        for j in range(state.block_size):
-            self._done_tokens.append(state.tokens[j])  # type: ignore[arg-type]
-            self._done_confs.append(state.confidences[j])  # type: ignore[arg-type]
-            self._done_dists.append(state.distributions[j])  # type: ignore[arg-type]
-
-    def extend_to(self, n: int) -> None:
-        """Draft until the leftmost ``n`` positions are unmasked."""
         if n < 1:
             raise ConfigError(f"draft length must be >= 1, got {n}")
-        backbone = self._drafter.backbone
-        block_size = self._drafter.block_size
-        while self.available < n:
-            if self._mode == ONE_STEP:
-                state = one_step_block(backbone, self._prefix + self._done_tokens, block_size)
-                self.forward_passes += 1
-                self._finalize_block(state)
-                continue
-            if self._block is None:
-                self._block = BlockState(
-                    prefix=self._prefix + self._done_tokens, block_size=block_size
-                )
-            denoise_step(backbone, self._block, self._drafter.unmask_threshold)
-            self.forward_passes += 1
-            if self._block.all_unmasked:
-                self._finalize_block(self._block)
-                self._block = None
-
-    def slice(self, start: int, stop: int) -> tuple[list[int], list[float]]:
-        """Tokens and confidences for contiguous positions ``start..stop-1``."""
-        tokens, confs, _ = self._first(stop)
-        return tokens[start:], confs[start:]
-
-    def _first(self, n: int) -> tuple[list[int], list[float], list[np.ndarray]]:
-        if n > self.available:
-            raise ConfigError(f"only {self.available} positions drafted, asked for {n}")
-        tokens = list(self._done_tokens)
-        confs = list(self._done_confs)
-        dists = list(self._done_dists)
-        if len(tokens) < n and self._block is not None:
-            run = self._block.leftmost_run()
-            tokens += self._block.tokens[:run]  # type: ignore[arg-type]
-            confs += self._block.confidences[:run]  # type: ignore[arg-type]
-            dists += self._block.distributions[:run]  # type: ignore[arg-type]
-        return tokens[:n], confs[:n], dists[:n]
-
-    def proposal(self, n: int) -> DraftProposal:
-        """First ``n`` drafted tokens, charged with every pass spent so far."""
-        tokens, confs, dists = self._first(n)
-        return DraftProposal(tokens, confs, dists, self.forward_passes)
+        tokens: list[int] = []
+        confidences: list[float] = []
+        distributions: list[np.ndarray] = []
+        passes = 0
+        while len(tokens) < n:
+            if mode == ONE_STEP:
+                state = one_step_block(self.backbone, prefix + tokens, self.block_size)
+                passes += 1
+            else:
+                state = BlockState(prefix + tokens, self.block_size)
+                while state.leftmost_run() < min(n - len(tokens), self.block_size):
+                    denoise_step(self.backbone, state, self.unmask_threshold)
+                    passes += 1
+            run = state.leftmost_run()
+            tokens += state.tokens[:run]
+            confidences += state.confidences[:run]
+            distributions += state.distributions[:run]
+        return DraftProposal(tokens[:n], confidences[:n], distributions[:n], passes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -55,6 +56,10 @@ class CostModel:
     decode_pass_cost: float | None = None
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            optional = name in ("verify_excess_cost", "decode_pass_cost")
+            if not (isinstance(value, numbers.Real) or (optional and value is None)):
+                raise ConfigError(f"cost {name} must be a number, got {value!r}")
         if self.draft_pass_cost < 0 or self.verify_round_cost <= 0:
             raise ConfigError("pass costs must be positive")
         if self.verify_token_cutoff < 1:
@@ -175,25 +180,30 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Transcript":
+        if not isinstance(obj, dict):
+            raise IoError(f"transcript is malformed: expected an object, got {type(obj).__name__}")
         version = obj.get("schema_version")
         if version != TRANSCRIPT_SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"transcript schema_version {version!r} unsupported "
                 f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
             )
-        return cls(
-            config=dict(obj["config"]),
-            seed=[int(s) for s in obj["seed"]],
-            prompt=[int(t) for t in obj["prompt"]],
-            vocab=[str(t) for t in obj["vocab"]],
-            rounds=[RoundRecord.from_dict(r) for r in obj["rounds"]],
-            output=[int(t) for t in obj["output"]],
-            draft_latency=float(obj["draft_latency"]),
-            verify_latency=float(obj["verify_latency"]),
-            total_latency=float(obj["total_latency"]),
-            vanilla_latency=float(obj["vanilla_latency"]),
-            speedup=float(obj["speedup"]),
-        )
+        try:
+            return cls(
+                config=dict(obj["config"]),
+                seed=[int(s) for s in obj["seed"]],
+                prompt=[int(t) for t in obj["prompt"]],
+                vocab=[str(t) for t in obj["vocab"]],
+                rounds=[RoundRecord.from_dict(r) for r in obj["rounds"]],
+                output=[int(t) for t in obj["output"]],
+                draft_latency=float(obj["draft_latency"]),
+                verify_latency=float(obj["verify_latency"]),
+                total_latency=float(obj["total_latency"]),
+                vanilla_latency=float(obj["vanilla_latency"]),
+                speedup=float(obj["speedup"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IoError(f"transcript is malformed: {exc!r}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1)
@@ -214,11 +224,15 @@ class Transcript:
     def load(cls, path: str | os.PathLike[str]) -> "Transcript":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise IoError(f"cannot read transcript {path}: {exc}") from exc
+        try:
+            return cls.from_json(text)
         except json.JSONDecodeError as exc:
             raise IoError(f"transcript {path} is not valid JSON: {exc}") from exc
+        except IoError as exc:
+            raise IoError(f"{path}: {exc}") from exc
 
 
 def _truncate_at_eos(proposal: DraftProposal, eos: int) -> DraftProposal:
@@ -347,9 +361,20 @@ def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Tran
     ]
 
 
-def _run_case(args: tuple[SweepCase, list[list[int]]]) -> list[Transcript]:
+def _run_case(args: tuple[SweepCase, Sequence[Sequence[int]]]) -> list[Transcript]:
     case, prompts = args
     return run_workload(case, prompts)
+
+
+def run_cases(
+    runs: Sequence[tuple[SweepCase, Sequence[Sequence[int]]]], jobs: int = 1
+) -> list[list[Transcript]]:
+    """Run each case over its own prompts, in a pool of ``jobs`` processes
+    when ``jobs > 1``; results come back in input order."""
+    if jobs <= 1:
+        return [_run_case(run) for run in runs]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_case, runs))
 
 
 def sweep(
@@ -367,8 +392,4 @@ def sweep(
     if not prompts:
         raise EmptyWorkload("no prompts to run")
     prompt_lists = [list(p) for p in prompts]
-    if jobs <= 1:
-        return [(case, run_workload(case, prompt_lists)) for case in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_run_case, [(case, prompt_lists) for case in cases]))
-    return list(zip(cases, results))
+    return list(zip(cases, run_cases([(case, prompt_lists) for case in cases], jobs)))

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .drafter import ONE_STEP, DiffusionDrafter, DraftProposal
+import numpy as np
+
+from .drafter import DiffusionDrafter, DraftProposal, modal_chain
 from .errors import ConfigError
-from .ngram import argmax_token
+from .ngram import argmax_token  # noqa: F401  (perfbench/spans.py wraps policies.argmax_token)
 
 
 @dataclass(frozen=True)
@@ -58,26 +60,7 @@ def propose_fixed_ar(drafter: DiffusionDrafter, prefix: list[int], n: int) -> Dr
     """
     if n < 1:
         raise ConfigError(f"draft length must be >= 1, got {n}")
-    backbone = drafter.backbone
-    chain = list(prefix)
-    tokens: list[int] = []
-    confs: list[float] = []
-    dists = []
-    for _ in range(n):
-        dist = backbone.next_distribution(chain)
-        tok = argmax_token(dist)
-        tokens.append(tok)
-        confs.append(float(dist[tok]))
-        dists.append(dist)
-        chain.append(tok)
-    return DraftProposal(tokens, confs, dists, forward_passes=n)
-
-
-def propose_fixed_dllm(
-    drafter: DiffusionDrafter, prefix: list[int], n: int, mode: str
-) -> DraftProposal:
-    """Draft a fixed ``n`` tokens with block decoding in the given mode."""
-    return drafter.draft_tokens(prefix, n, mode)
+    return DraftProposal(*modal_chain(drafter.backbone, prefix, n), forward_passes=n)
 
 
 def propose_failfast(
@@ -90,26 +73,37 @@ def propose_failfast(
     ``max_length``. The chunk that triggered the stop is still part of the
     proposal; the verifier decides what survives. A proposal that ran past
     ``max_length`` is truncated back to it unless ``allow_overshoot`` is set,
-    and a proposal containing ``<eos>`` is cut just after the marker.
+    and a proposal containing ``<eos>`` is cut just after the marker. Every
+    one-step block pulled to cover a chunk costs one pass, whether or not
+    its tokens survive the cut.
     """
-    session = drafter.session(prefix, mode=ONE_STEP)
+    blocks = drafter.one_step_blocks(prefix)
     eos = drafter.backbone.vocabulary.eos_id
+    tokens: list[int] = []
+    confidences: list[float] = []
+    distributions: list[np.ndarray] = []
+    passes = 0
     length = 0
     while True:
         chunk_start = length
         length += config.step_size
-        session.extend_to(length)
-        tokens, confs = session.slice(chunk_start, length)
-        if eos in tokens:
-            length = chunk_start + tokens.index(eos) + 1
+        while len(tokens) < length:
+            block = next(blocks)
+            passes += 1
+            tokens += block.tokens
+            confidences += block.confidences
+            distributions += block.distributions
+        chunk = tokens[chunk_start:length]
+        if eos in chunk:
+            length = chunk_start + chunk.index(eos) + 1
             break
-        if min(confs) < config.confidence_threshold:
+        if min(confidences[chunk_start:length]) < config.confidence_threshold:
             break
         if length >= config.max_length:
             break
     if not config.allow_overshoot:
         length = min(length, config.max_length)
-    return session.proposal(length)
+    return DraftProposal(tokens[:length], confidences[:length], distributions[:length], passes)
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ class FixedDLLM:
             raise ConfigError(f"draft length must be >= 1, got {self.draft_len}")
 
     def propose(self, drafter: DiffusionDrafter, prefix: list[int]) -> DraftProposal:
-        return propose_fixed_dllm(drafter, prefix, self.draft_len, self.mode)
+        return drafter.draft_tokens(prefix, self.draft_len, self.mode)
 
     def label(self) -> str:
         return f"fixed_dllm({self.draft_len},{self.mode})"

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from speclab.cli import OUTPUT_DIR_ENV, main
+from speclab.config import load_config, materialize
 from speclab.ngram import load_model
 
 CORPUS = (
@@ -120,6 +121,22 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert "smoothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"cost": {"draft_pass_cost": "x"}},
+            {"policy": {"kind": "fixed_dllm", "draft_len": "abc"}},
+            {"drafter": {"order": 3, "block_size": "wide"}},
+            {"prompt_sample": {"count": None}},
+        ],
+    )
+    def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):
+        write_corpus(tmp_path)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_output_dir_env_var_sets_the_default(self, tmp_path, monkeypatch):
         write_corpus(tmp_path)
         cfg = write_config(tmp_path)
@@ -164,6 +181,30 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--out", str(parallel), "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    def test_each_case_runs_its_own_prompts(self, tmp_path):
+        write_corpus(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            prompt_sample={"count": 2, "length": 8, "seed": [0, 1]},
+            policy={"kind": "fixed_dllm", "draft_len": [3, 5]},
+        )
+        runs = materialize(load_config(cfg), str(tmp_path))
+        assert runs[0].prompts != runs[-1].prompts
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert main(["sweep", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert (outs[1] / "sweep.csv").read_bytes() == (outs[2] / "sweep.csv").read_bytes()
+        for out in outs.values():
+            case_dirs = sorted(d for d in os.listdir(out) if (out / d).is_dir())
+            assert len(case_dirs) == len(runs) == 4
+            for run, case_dir in zip(runs, case_dirs):
+                prompts = [
+                    json.loads((out / case_dir / name).read_text(encoding="utf-8"))["prompt"]
+                    for name in sorted(os.listdir(out / case_dir))
+                    if name.startswith("transcript_")
+                ]
+                assert prompts == run.prompts
+
 
 class TestTheory:
     def test_curves_and_maximizers(self, tmp_path, capsys):
@@ -192,3 +233,10 @@ class TestReport:
 
     def test_directory_without_transcripts(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("payload", [{"schema_version": 1}, [1, 2]])
+    def test_malformed_transcript_fails_with_one_error_line(self, tmp_path, capsys, payload):
+        (tmp_path / "transcript_0000.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "malformed" in err[0]

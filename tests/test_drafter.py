@@ -20,6 +20,7 @@ from speclab.drafter import (
     ONE_STEP,
     denoise_step,
     fixed_step_block,
+    modal_chain,
     one_step_block,
 )
 from speclab.errors import ConfigError, NoMaskedSlots
@@ -98,12 +99,29 @@ class TestDenoiseStep:
             denoise_step(bigram, state, 0.9)
 
 
+class TestModalChain:
+    def test_argmax_chain_oracle(self, bigram):
+        tokens, confs, dists = modal_chain(bigram, ids(bigram, "b"), 4)
+        assert tokens == ids(bigram, "abab")
+        assert confs == [1.0, 0.75, 1.0, 0.75]
+        assert [float(d[t]) for d, t in zip(dists, tokens)] == confs
+
+    def test_zero_length_chain_is_empty(self, bigram):
+        assert modal_chain(bigram, ids(bigram, "b"), 0) == ([], [], [])
+
+
 class TestOneStepBlock:
     def test_modal_chain_tokens_and_confidences(self, bigram):
         state = one_step_block(bigram, ids(bigram, "b"), 4)
         assert state.tokens == ids(bigram, "abab")
         assert state.confidences == [1.0, 0.75, 1.0, 0.75]
         assert state.all_unmasked
+
+    def test_block_stream_continues_the_chain(self, mixed_lab):
+        prompt = mixed_lab.prompts(1, seed=15)[0]
+        blocks = mixed_lab.drafter.one_step_blocks(prompt)
+        streamed = [tok for _ in range(3) for tok in next(blocks).tokens]
+        assert streamed == modal_chain(mixed_lab.drafter.backbone, prompt, 24)[0]
 
     def test_single_pass_charged(self, bigram):
         drafter = DiffusionDrafter(bigram, block_size=4)
@@ -167,32 +185,6 @@ class TestFixedStepBlock:
             fixed_step_block(bigram, [0], 8, 0)
         with pytest.raises(ConfigError):
             fixed_step_block(bigram, [0], 8, 9)
-
-
-class TestDraftSession:
-    def test_incremental_extension_charges_all_passes(self, mixed_lab):
-        prompt = mixed_lab.prompts(1, seed=15)[0]
-        session = mixed_lab.drafter.session(prompt, mode=ONE_STEP)
-        session.extend_to(10)
-        assert session.forward_passes == 2
-        assert session.available == 16
-        session.extend_to(16)  # already drafted; no new passes
-        assert session.forward_passes == 2
-        session.extend_to(17)
-        assert session.forward_passes == 3
-        proposal = session.proposal(10)
-        assert len(proposal.tokens) == 10
-        # The cut proposal still pays for every pass the session spent.
-        assert proposal.forward_passes == 3
-
-    def test_slice_window(self, mixed_lab):
-        prompt = mixed_lab.prompts(1, seed=16)[0]
-        session = mixed_lab.drafter.session(prompt, mode=ONE_STEP)
-        session.extend_to(10)
-        tokens, confs = session.slice(4, 10)
-        full = session.proposal(10)
-        assert tokens == full.tokens[4:10]
-        assert confs == full.confidences[4:10]
 
 
 class TestDraftProposal:

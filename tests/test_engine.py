@@ -75,6 +75,8 @@ class TestCostModel:
             {"verify_token_cutoff": 0},
             {"verify_excess_cost": -1.0},
             {"decode_pass_cost": 0.0},
+            {"draft_pass_cost": "x"},
+            {"verify_token_cutoff": None},
         ],
     )
     def test_validation(self, kwargs):
@@ -183,6 +185,19 @@ class TestTranscriptPersistence:
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(IoError):
             Transcript.load(bad)
+
+    def test_malformed_payloads(self, mixed_lab, tmp_path):
+        prompt = mixed_lab.prompts(1, seed=33)[0]
+        t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
+        no_rounds = t.to_dict()
+        del no_rounds["rounds"]
+        bad_round = t.to_dict()
+        bad_round["rounds"][0]["accepted_len"] = "many"
+        for payload in (no_rounds, bad_round, [t.to_dict()], "text"):
+            path = tmp_path / "malformed.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(IoError, match="malformed"):
+                Transcript.load(path)
 
 
 class TestWorkloads:
