@@ -60,13 +60,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .config import read_corpus  # local import keeps module load light
 
     docs = [tokenize(d, args.tokenizer) for d in read_corpus(args.corpus)]
-    target = train_ngram(docs, order=args.order, smoothing=args.smoothing)
-    drafter = train_ngram(
-        docs,
-        order=args.drafter_order,
-        smoothing=args.drafter_smoothing,
-        vocabulary=target.vocabulary,
-    )
+    table = train_ngram(docs, order=max(args.order, args.drafter_order))
+    target = table.with_order(args.order, args.smoothing)
+    drafter = table.with_order(args.drafter_order, args.drafter_smoothing)
     stem = os.path.splitext(os.path.basename(args.corpus))[0]
     out = args.out or os.path.dirname(args.corpus) or "."
     os.makedirs(out, exist_ok=True)

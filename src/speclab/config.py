@@ -45,13 +45,7 @@ _SAMPLE_KEYS = {"count", "length", "seed"}
 _POLICY_KEYS = {
     "fixed_ar": {"kind", "draft_len"},
     "fixed_dllm": {"kind", "draft_len", "mode"},
-    "fail_fast": {
-        "kind",
-        "step_size",
-        "confidence_threshold",
-        "max_length",
-        "allow_overshoot",
-    },
+    "fail_fast": {"kind", "step_size", "confidence_threshold", "max_length"},
 }
 _COST_KEYS = {
     "draft_pass_cost",
@@ -82,6 +76,11 @@ def validate_schema(obj: dict) -> None:
             raise ConfigError(f"config is missing required key '{key}'")
     _require_keys(obj["target"], _MODEL_KEYS, "target")
     _require_keys(obj["drafter"], _DRAFTER_KEYS, "drafter")
+    for spec in (obj["target"], obj["drafter"]):
+        if "model_file" in spec and ("order" in spec or "smoothing" in spec):
+            raise ConfigError("model spec: give model_file or order/smoothing, not both")
+        if "model_file" not in spec and "order" not in spec:
+            raise ConfigError("model spec needs 'order' (or 'model_file')")
     policy = obj["policy"]
     if not isinstance(policy, dict) or "kind" not in policy:
         raise ConfigError("policy must be an object with a 'kind' key")
@@ -172,26 +171,10 @@ def read_corpus(path: str) -> list[str]:
 
 
 def _as(kind: type, value: object, where: str):
-    """``kind(value)``, with a failed conversion reported as a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _build_model(spec: dict, docs_tokens, vocabulary, base_dir: str) -> NGramModel:
-    if "model_file" in spec:
-        if "order" in spec or "smoothing" in spec:
-            raise ConfigError("model spec: give model_file or order/smoothing, not both")
-        return load_model(os.path.join(base_dir, str(spec["model_file"])))
-    if "order" not in spec:
-        raise ConfigError("model spec needs 'order' (or 'model_file')")
-    return train_ngram(
-        docs_tokens,
-        order=_as(int, spec["order"], "order"),
-        smoothing=_as(float, spec.get("smoothing", 0.1), "smoothing"),
-        vocabulary=vocabulary,
-    )
+    """``value`` as ``kind``; an int takes a JSON integer only, a float any JSON number."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def parse_policy(obj: dict) -> Policy:
@@ -215,7 +198,6 @@ def parse_policy(obj: dict) -> Policy:
                     float, obj.get("confidence_threshold", 0.45), "policy confidence_threshold"
                 ),
                 max_length=_as(int, obj.get("max_length", 60), "policy max_length"),
-                allow_overshoot=bool(obj.get("allow_overshoot", False)),
             )
         )
     raise ConfigError(f"unknown policy kind: {kind!r}")
@@ -235,15 +217,32 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     """Expand grids and build runnable cases from a schema-checked config.
 
     Relative paths are resolved against ``base_dir`` (the config file's own
-    directory, for the CLI). Corpora and models are cached across grid cells
-    that share the same spec, so an 18-point draft-length sweep trains its
-    models once.
+    directory, for the CLI). Each corpus is read and tokenized once, and
+    trained models are order-limited views of one count table, so an
+    18-point draft-length sweep trains once; cells share equal models.
     """
     validate_schema(config)
     runs: list[ResolvedRun] = []
-    model_cache: dict[str, NGramModel] = {}
     corpus_cache: dict[str, list[str]] = {}
-    prompt_cache: dict[str, list[list[int]]] = {}
+    tokens_cache: dict[tuple[str, str], list[list[str]]] = {}
+    tables: dict[tuple[str, str, str | None], NGramModel] = {}
+    models: dict[object, NGramModel] = {}  # files by path, views by (table key, order, smoothing)
+    prompt_cache: dict[tuple, list[list[int]]] = {}
+
+    def model(spec: dict, table_key: tuple) -> NGramModel:
+        """The model file ``spec`` names, or its view of the table at ``table_key``."""
+        if "model_file" in spec:
+            key = os.path.join(base_dir, str(spec["model_file"]))
+            if key not in models:
+                models[key] = load_model(key)
+        else:
+            order = _as(int, spec["order"], "order")
+            smoothing = _as(float, spec.get("smoothing", 0.1), "smoothing")
+            key = (table_key, order, smoothing)
+            if key not in models:
+                models[key] = tables[table_key].with_order(order, smoothing)
+        return models[key]
+
     for resolved, assignment in expand_grid(config):
         corpus_path = os.path.join(base_dir, str(resolved["train_corpus"]))
         if corpus_path not in corpus_cache:
@@ -252,26 +251,27 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         tok_kind = str(resolved.get("tokenizer", "char"))
         if tok_kind not in TOKENIZER_KINDS:
             raise ConfigError(f"unknown tokenizer kind: {tok_kind!r}")
-        docs_tokens = [tokenize(d, tok_kind) for d in docs]
 
-        target_key = json.dumps(["t", corpus_path, tok_kind, resolved["target"]], sort_keys=True)
-        if target_key not in model_cache:
-            model_cache[target_key] = _build_model(resolved["target"], docs_tokens, None, base_dir)
-        target = model_cache[target_key]
-
+        target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
         block_size = _as(int, drafter_spec.pop("block_size", 8), "drafter block_size")
         unmask_threshold = _as(
             float, drafter_spec.pop("unmask_threshold", 0.9), "drafter unmask_threshold"
         )
-        drafter_key = json.dumps(
-            ["d", corpus_path, tok_kind, drafter_spec, target_key], sort_keys=True
-        )
-        if drafter_key not in model_cache:
-            model_cache[drafter_key] = _build_model(
-                drafter_spec, docs_tokens, target.vocabulary, base_dir
+        # One table per corpus, tokenizer and vocabulary source (the target's
+        # model file, else the corpus), trained at the highest order yet asked.
+        vocab_source = str(target_spec["model_file"]) if "model_file" in target_spec else None
+        table_key = (corpus_path, tok_kind, vocab_source)
+        orders = [_as(int, s["order"], "order") for s in (target_spec, drafter_spec) if "order" in s]
+        if orders and (table_key not in tables or tables[table_key].order < max(orders)):
+            if (corpus_path, tok_kind) not in tokens_cache:
+                tokens_cache[corpus_path, tok_kind] = [tokenize(d, tok_kind) for d in docs]
+            vocabulary = None if vocab_source is None else model(target_spec, table_key).vocabulary
+            tables[table_key] = train_ngram(
+                tokens_cache[corpus_path, tok_kind], order=max(orders), vocabulary=vocabulary
             )
-        backbone = model_cache[drafter_key]
+        target = model(target_spec, table_key)
+        backbone = model(drafter_spec, table_key)
         drafter = DiffusionDrafter(
             backbone, block_size=block_size, unmask_threshold=unmask_threshold
         )
@@ -287,7 +287,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
 
         if "prompt_file" in resolved:
             prompt_path = os.path.join(base_dir, str(resolved["prompt_file"]))
-            cache_key = f"{prompt_path}|{tok_kind}|{target_key}"
+            cache_key = (prompt_path, tok_kind, target.vocabulary)
             if cache_key not in prompt_cache:
                 prompt_cache[cache_key] = [
                     target.vocabulary.encode(tokenize(line, tok_kind))

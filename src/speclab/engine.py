@@ -58,8 +58,11 @@ class CostModel:
     def __post_init__(self) -> None:
         for name, value in self.to_dict().items():
             optional = name in ("verify_excess_cost", "decode_pass_cost")
-            if not (isinstance(value, numbers.Real) or (optional and value is None)):
-                raise ConfigError(f"cost {name} must be a number, got {value!r}")
+            whole = name == "verify_token_cutoff"
+            number = isinstance(value, numbers.Integral if whole else numbers.Real)
+            if not (number and not isinstance(value, bool) or (optional and value is None)):
+                noun = "an integer" if whole else "a number"
+                raise ConfigError(f"cost {name} must be {noun}, got {value!r}")
         if self.draft_pass_cost < 0 or self.verify_round_cost <= 0:
             raise ConfigError("pass costs must be positive")
         if self.verify_token_cutoff < 1:

@@ -114,13 +114,21 @@ class NGramModel:
         self.order = order
         self.smoothing = float(smoothing)
         self._counts = counts
-        self._totals = {ctx: sum(bucket.values()) for ctx, bucket in counts.items()}
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """Raw context -> token -> count table (treat as read-only)."""
-        return self._counts
+        """Context -> token -> count for contexts shorter than ``order``, as
+        training at ``order`` builds it (a copy; treat buckets as read-only)."""
+        return {ctx: bucket for ctx, bucket in self._counts.items() if len(ctx) < self.order}
+
+    def with_order(self, order: int, smoothing: float) -> NGramModel:
+        """An O(1) view sharing this vocabulary and count table; it equals
+        training at ``order``. A higher order would need contexts the table
+        never counted, so ``order`` must be in 1..``self.order``."""
+        if not 1 <= order <= self.order:
+            raise InvalidOrder(f"view order must be in 1..{self.order}, got {order}")
+        return NGramModel(self.vocabulary, order, smoothing, self._counts)
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Dense next-token distribution after ``context``.
@@ -143,7 +151,7 @@ class NGramModel:
         probs = np.full(size, lam, dtype=np.float64)
         for tok, cnt in bucket.items():
             probs[tok] += cnt
-        probs /= self._totals[level] + lam * size
+        probs /= sum(bucket.values()) + lam * size
         probs.setflags(write=False)
         if len(self._dist_cache) < _DIST_CACHE_CAP:
             self._dist_cache[ctx] = probs

@@ -30,15 +30,11 @@ class FailFastConfig:
         confidence_threshold: minimum argmax probability a chunk token needs
             for expansion to continue; in (0, 1).
         max_length: hard cap on the draft submitted per round.
-        allow_overshoot: when True, a final chunk that crosses ``max_length``
-            is submitted whole; the default truncates the proposal back to
-            ``max_length`` (the drafter passes stay charged either way).
     """
 
     step_size: int = 10
     confidence_threshold: float = 0.45
     max_length: int = 60
-    allow_overshoot: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.step_size <= self.max_length:
@@ -72,10 +68,9 @@ def propose_failfast(
     sub-threshold token, the drafter emits ``<eos>``, or the draft reaches
     ``max_length``. The chunk that triggered the stop is still part of the
     proposal; the verifier decides what survives. A proposal that ran past
-    ``max_length`` is truncated back to it unless ``allow_overshoot`` is set,
-    and a proposal containing ``<eos>`` is cut just after the marker. Every
-    one-step block pulled to cover a chunk costs one pass, whether or not
-    its tokens survive the cut.
+    ``max_length`` is truncated back to it, and a proposal containing
+    ``<eos>`` is cut just after the marker. Every one-step block pulled to
+    cover a chunk costs one pass, whether or not its tokens survive the cut.
     """
     blocks = drafter.one_step_blocks(prefix)
     eos = drafter.backbone.vocabulary.eos_id
@@ -101,8 +96,7 @@ def propose_failfast(
             break
         if length >= config.max_length:
             break
-    if not config.allow_overshoot:
-        length = min(length, config.max_length)
+    length = min(length, config.max_length)
     return DraftProposal(tokens[:length], confidences[:length], distributions[:length], passes)
 
 

@@ -13,6 +13,7 @@ import json
 import os
 
 from .analysis import (
+    SummaryStats,
     accepted_length_cdf,
     build_raster,
     consecutive_easy_ratio,
@@ -70,8 +71,9 @@ def _grouped(transcripts: list[Transcript]) -> list[tuple[str, list[Transcript]]
     return [(label, groups[label]) for label in order]
 
 
-def summary_row(label: str, group: list[Transcript]) -> dict[str, str]:
-    stats = summarize(group)
+def summary_row(label: str, group: list[Transcript], stats: SummaryStats | None = None) -> dict[str, str]:
+    """One summary.csv row; ``stats`` is ``summarize(group)`` when not given."""
+    stats = summarize(group) if stats is None else stats
     config = group[0].config
     return {
         "policy": str(config.get("policy_label", label)),
@@ -96,34 +98,6 @@ def write_summary_csv(path: str, rows: list[dict[str, str]]) -> None:
             writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _metrics(groups: list[tuple[str, list[Transcript]]]) -> dict:
-    out: dict = {"schema_version": REPORT_SCHEMA_VERSION, "groups": []}
-    for label, group in groups:
-        stats = summarize(group)
-        lat = latency_breakdown(group)
-        acc_cdf, spec_cdf = accepted_length_cdf(group)
-        ratios = consecutive_easy_ratio(build_raster(group), EASY_RUN_THRESHOLDS)
-        out["groups"].append(
-            {
-                "label": label,
-                "policy": str(group[0].config.get("policy_label", label)),
-                "dataset": str(group[0].config.get("dataset", "unknown")),
-                "summary": stats.to_dict(),
-                "latency": {
-                    "draft": lat.draft_latency,
-                    "verify": lat.verify_latency,
-                    "draft_share": lat.draft_share,
-                    "verify_share": lat.verify_share,
-                },
-                "easy_run_thresholds": list(EASY_RUN_THRESHOLDS),
-                "easy_run_ratio": ratios,
-                "accepted_len_cdf": [[v, f] for v, f in acc_cdf],
-                "speculated_len_cdf": [[v, f] for v, f in spec_cdf],
-            }
-        )
-    return out
 
 
 def _trajectory_text(transcripts: list[Transcript], per_group: int = 1) -> str:
@@ -164,7 +138,6 @@ def render_report(
     directory twice produces byte-identical files.
     """
     transcripts = load_transcripts(run_dir)
-    groups = _grouped(transcripts)
     out = str(out_dir) if out_dir is not None else str(run_dir)
     try:
         os.makedirs(out, exist_ok=True)
@@ -174,19 +147,40 @@ def render_report(
     paths = {name: os.path.join(out, name) for name in (
         "summary.csv", "metrics.json", "raster.svg", "cdf.svg", "breakdown.svg", "trajectory.txt",
     )}
-    write_summary_csv(paths["summary.csv"], [summary_row(lbl, grp) for lbl, grp in groups])
-
+    rows = []
+    metrics: dict = {"schema_version": REPORT_SCHEMA_VERSION, "groups": []}
     cdf_series = []
     breakdown_entries = []
-    for label, group in groups:
+    for label, group in _grouped(transcripts):
+        stats = summarize(group)
+        lat = latency_breakdown(group)
         acc_cdf, spec_cdf = accepted_length_cdf(group)
+        rows.append(summary_row(label, group, stats))
+        metrics["groups"].append(
+            {
+                "label": label,
+                "policy": str(group[0].config.get("policy_label", label)),
+                "dataset": str(group[0].config.get("dataset", "unknown")),
+                "summary": stats.to_dict(),
+                "latency": {
+                    "draft": lat.draft_latency,
+                    "verify": lat.verify_latency,
+                    "draft_share": lat.draft_share,
+                    "verify_share": lat.verify_share,
+                },
+                "easy_run_thresholds": list(EASY_RUN_THRESHOLDS),
+                "easy_run_ratio": consecutive_easy_ratio(build_raster(group), EASY_RUN_THRESHOLDS),
+                "accepted_len_cdf": [[v, f] for v, f in acc_cdf],
+                "speculated_len_cdf": [[v, f] for v, f in spec_cdf],
+            }
+        )
         cdf_series.append((f"{label} accepted", acc_cdf))
         cdf_series.append((f"{label} speculated", spec_cdf))
-        lat = latency_breakdown(group)
         breakdown_entries.append((label, lat.draft_latency, lat.verify_latency))
+    write_summary_csv(paths["summary.csv"], rows)
 
     artifacts = {
-        "metrics.json": json.dumps(_metrics(groups), indent=1) + "\n",
+        "metrics.json": json.dumps(metrics, indent=1) + "\n",
         "raster.svg": render_raster(build_raster(transcripts).rows),
         "cdf.svg": render_step_cdfs(cdf_series),
         "breakdown.svg": render_breakdown(breakdown_entries),

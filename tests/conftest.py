@@ -53,11 +53,9 @@ class Lab:
 
 def make_lab(docs: list[str], target_order: int, drafter_order: int) -> Lab:
     toks = [tokenize(d, "char") for d in docs]
-    target = train_ngram(toks, order=target_order, smoothing=0.1)
-    backbone = train_ngram(
-        toks, order=drafter_order, smoothing=0.1, vocabulary=target.vocabulary
-    )
-    return Lab(docs, target, DiffusionDrafter(backbone))
+    table = train_ngram(toks, order=max(target_order, drafter_order))
+    target = table.with_order(target_order, 0.1)
+    return Lab(docs, target, DiffusionDrafter(table.with_order(drafter_order, 0.1)))
 
 
 @pytest.fixture(scope="session")

@@ -128,6 +128,10 @@ class TestRun:
             {"policy": {"kind": "fixed_dllm", "draft_len": "abc"}},
             {"drafter": {"order": 3, "block_size": "wide"}},
             {"prompt_sample": {"count": None}},
+            {"policy": {"kind": "fixed_dllm", "draft_len": 3.7}},
+            {"policy": {"kind": "fixed_dllm", "draft_len": True}},
+            {"target": {"order": "5"}},
+            {"cost": {"draft_pass_cost": True}},
         ],
     )
     def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from speclab import config as config_module
+from speclab.cli import main
 from speclab.config import (
     expand_grid,
     load_config,
@@ -14,6 +16,7 @@ from speclab.config import (
     read_corpus,
     validate_schema,
 )
+from speclab.engine import run_workload
 from speclab.errors import ConfigError, EmptyCorpus, IoError
 from speclab.policies import FailFast, FixedAR, FixedDLLM
 
@@ -236,3 +239,46 @@ class TestMaterialize:
         runs = materialize(base_config(), str(workdir))
         case = runs[0].case
         assert case.target.vocabulary.tokens == case.drafter.backbone.vocabulary.tokens
+
+
+class TestOneTablePerCorpus:
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        orders: list[int] = []
+        train = config_module.train_ngram
+
+        def counted(docs, order, *args, **kwargs):
+            orders.append(order)
+            return train(docs, order, *args, **kwargs)
+
+        monkeypatch.setattr(config_module, "train_ngram", counted)
+        return orders
+
+    def test_target_and_drafter_share_one_training(self, workdir, train_calls):
+        runs = materialize(base_config(), str(workdir))
+        assert train_calls == [3]
+        assert (runs[0].case.target.order, runs[0].case.drafter.backbone.order) == (3, 2)
+
+    def test_a_higher_order_later_in_the_grid_retrains_once(self, workdir, train_calls):
+        materialize(base_config(target={"order": [3, 4, 3], "smoothing": 0.1}), str(workdir))
+        assert train_calls == [3, 4]
+        materialize(base_config(target={"order": [4, 3], "smoothing": 0.1}), str(workdir))
+        assert train_calls == [3, 4, 4]
+
+    def test_trained_target_and_its_model_file_give_the_same_transcripts(self, workdir):
+        corpus = str(workdir / "corpus.txt")
+        models = str(workdir / "models")
+        assert main(["train", corpus, "--order", "3", "--drafter-order", "2", "--out", models]) == 0
+        trained = base_config(verifier=["greedy", "stochastic"])
+        from_file = base_config(
+            verifier=["greedy", "stochastic"], target={"model_file": "models/corpus.target.json"}
+        )
+
+        def episodes(cfg):
+            out = []
+            for run in materialize(cfg, str(workdir)):
+                for t in run_workload(run.case, run.prompts):
+                    out.append({k: v for k, v in t.to_dict().items() if k != "config"})
+            return out
+
+        assert episodes(from_file) == episodes(trained)

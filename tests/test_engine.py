@@ -77,6 +77,8 @@ class TestCostModel:
             {"decode_pass_cost": 0.0},
             {"draft_pass_cost": "x"},
             {"verify_token_cutoff": None},
+            {"draft_pass_cost": True},
+            {"verify_token_cutoff": 64.5},
         ],
     )
     def test_validation(self, kwargs):

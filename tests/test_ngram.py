@@ -160,6 +160,52 @@ def corpus_and_context(draw):
     return docs, order, smoothing, context
 
 
+@st.composite
+def corpus_and_orders(draw):
+    docs = draw(
+        st.lists(st.text(alphabet="abcd", min_size=1, max_size=16), min_size=1, max_size=4)
+    )
+    table_order = draw(st.integers(min_value=1, max_value=5))
+    order = draw(st.integers(min_value=1, max_value=table_order))
+    smoothing = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    contexts = draw(
+        st.lists(st.lists(st.integers(min_value=0, max_value=4), max_size=6), max_size=5)
+    )
+    return [list(d) for d in docs], table_order, order, smoothing, contexts
+
+
+class TestOrderViews:
+    @settings(max_examples=150, deadline=None)
+    @given(case=corpus_and_orders())
+    def test_a_view_equals_training_at_its_order(self, tmp_path_factory, case):
+        docs, table_order, order, smoothing, contexts = case
+        table = train_ngram(docs, table_order)
+        view = table.with_order(order, smoothing)
+        trained = train_ngram(docs, order, smoothing)
+        assert (view.order, view.smoothing) == (order, smoothing)
+        assert view.vocabulary == trained.vocabulary
+        for context in contexts:
+            context = [c % len(trained.vocabulary) for c in context]
+            assert np.array_equal(
+                view.next_distribution(context), trained.next_distribution(context)
+            )
+        out = tmp_path_factory.mktemp("views")
+        save_model(view, out / "view.json")
+        save_model(trained, out / "trained.json")
+        assert (out / "view.json").read_bytes() == (out / "trained.json").read_bytes()
+        for outside in (0, table_order + 1):
+            with pytest.raises(InvalidOrder):
+                table.with_order(outside, smoothing)
+
+    def test_views_share_the_vocabulary_and_nest(self):
+        model = model_for(["abcab"], order=3)
+        view = model.with_order(2, 0.5)
+        assert view.vocabulary is model.vocabulary
+        assert view.with_order(1, 0.0).counts == {(): model.counts[()]}
+        with pytest.raises(InvalidOrder):
+            view.with_order(3, 0.1)
+
+
 class TestDistributionProperties:
     @settings(max_examples=150, deadline=None)
     @given(corpus_and_context())

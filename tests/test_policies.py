@@ -45,7 +45,6 @@ class TestFailFastConfig:
     def test_defaults(self):
         cfg = FailFastConfig()
         assert (cfg.step_size, cfg.confidence_threshold, cfg.max_length) == (10, 0.45, 60)
-        assert cfg.allow_overshoot is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -86,13 +85,6 @@ class TestFailFastExpansion:
         assert len(proposal.tokens) == 25
         # The third chunk was drafted before truncation, so its passes stay
         # on the bill: blocks through position 32 cost four passes.
-        assert proposal.forward_passes == 4
-
-    def test_overshoot_keeps_the_whole_chunk(self, confident):
-        prefix = [confident.backbone.vocabulary.id_of("a")]
-        cfg = FailFastConfig(step_size=10, max_length=25, allow_overshoot=True)
-        proposal = propose_failfast(confident, prefix, cfg)
-        assert len(proposal.tokens) == 30
         assert proposal.forward_passes == 4
 
     def test_eos_cuts_the_draft_just_after_the_marker(self):
