@@ -6,165 +6,33 @@ verification rounds so policies can be compared on speedup without a GPU.
 The headline policy keeps extending a draft in small chunks until the
 drafter's own confidence dips — failing fast on hard text and speculating
 deep into easy text.
+
+The top level exports the names of the README quick start; everything else
+is imported from its submodule (``speclab.config``, ``speclab.report``, ...).
 """
 
-from .analysis import (
-    ABSENT,
-    EASY,
-    HARD,
-    EasyHardRaster,
-    LatencyBreakdown,
-    SummaryStats,
-    accepted_length_cdf,
-    agreement_by_steps,
-    build_raster,
-    consecutive_easy_ratio,
-    easy_hard_flags,
-    latency_breakdown,
-    summarize,
-)
-from .config import expand_grid, load_config, materialize, read_corpus
-from .corpora import (
-    high_entropy_corpus,
-    iid_difficulty_corpus,
-    mixed_corpus,
-    periodic_corpus,
-    sample_prompts,
-)
-from .drafter import (
-    BlockState,
-    CONFIDENCE_AWARE,
-    DiffusionDrafter,
-    DraftProposal,
-    ONE_STEP,
-    denoise_step,
-    fixed_step_block,
-    one_step_block,
-)
-from .engine import (
-    CostModel,
-    RoundRecord,
-    SweepCase,
-    Transcript,
-    run_episode,
-    run_workload,
-    sweep,
-)
-from .errors import (
-    ConfigError,
-    EmptyCorpus,
-    EmptyTranscript,
-    EmptyWorkload,
-    InvalidAlpha,
-    InvalidOrder,
-    InvalidTheoryParams,
-    IoError,
-    MissingTranscripts,
-    NoMaskedSlots,
-    SchemaVersionMismatch,
-    SpecLabError,
-    UnknownToken,
-    VocabularyMismatch,
-    ZeroDraftProbability,
-)
-from .ngram import NGramModel, Vocabulary, argmax_token, build_vocab, load_model, save_model, train_ngram
-from .policies import FailFast, FailFastConfig, FixedAR, FixedDLLM, Policy
-from .report import render_report
-from .theory import (
-    TheoryParams,
-    best_gamma,
-    drafter_passes,
-    expected_tokens_per_round,
-    speedup_curve,
-    theoretical_speedup,
-)
-from .tokenizers import detokenize, tokenize
-from .verifier import (
-    accept_probability,
-    residual_distribution,
-    vanilla_decode,
-    verify_greedy,
-    verify_stochastic,
-)
+from .analysis import summarize
+from .corpora import mixed_corpus, sample_prompts
+from .drafter import DiffusionDrafter
+from .engine import CostModel, run_episode
+from .errors import SpecLabError
+from .ngram import train_ngram
+from .policies import FailFast
+from .tokenizers import tokenize
+from .verifier import vanilla_decode
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT",
-    "CONFIDENCE_AWARE",
-    "EASY",
-    "HARD",
-    "ONE_STEP",
-    "BlockState",
-    "ConfigError",
     "CostModel",
     "DiffusionDrafter",
-    "DraftProposal",
-    "EasyHardRaster",
-    "EmptyCorpus",
-    "EmptyTranscript",
-    "EmptyWorkload",
     "FailFast",
-    "FailFastConfig",
-    "FixedAR",
-    "FixedDLLM",
-    "InvalidAlpha",
-    "InvalidOrder",
-    "InvalidTheoryParams",
-    "IoError",
-    "LatencyBreakdown",
-    "MissingTranscripts",
-    "NGramModel",
-    "NoMaskedSlots",
-    "Policy",
-    "RoundRecord",
-    "SchemaVersionMismatch",
     "SpecLabError",
-    "SummaryStats",
-    "SweepCase",
-    "TheoryParams",
-    "Transcript",
-    "UnknownToken",
-    "Vocabulary",
-    "VocabularyMismatch",
-    "ZeroDraftProbability",
-    "accept_probability",
-    "accepted_length_cdf",
-    "agreement_by_steps",
-    "argmax_token",
-    "best_gamma",
-    "build_raster",
-    "build_vocab",
-    "consecutive_easy_ratio",
-    "denoise_step",
-    "detokenize",
-    "drafter_passes",
-    "easy_hard_flags",
-    "expand_grid",
-    "expected_tokens_per_round",
-    "fixed_step_block",
-    "high_entropy_corpus",
-    "iid_difficulty_corpus",
-    "latency_breakdown",
-    "load_config",
-    "load_model",
-    "materialize",
     "mixed_corpus",
-    "one_step_block",
-    "periodic_corpus",
-    "read_corpus",
-    "render_report",
     "run_episode",
-    "run_workload",
     "sample_prompts",
-    "save_model",
-    "speedup_curve",
     "summarize",
-    "sweep",
-    "theoretical_speedup",
     "tokenize",
     "train_ngram",
     "vanilla_decode",
-    "verify_greedy",
-    "verify_stochastic",
 ]

@@ -13,8 +13,8 @@ import os
 import re
 import sys
 
-from .config import ResolvedRun, load_config, materialize
-from .engine import run_cases, run_workload
+from .config import load_config, materialize
+from .engine import SweepCase, run_cases, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import REPORT_SCHEMA_VERSION, SUMMARY_COLUMNS, render_report, summary_row
@@ -33,12 +33,11 @@ def _default_out(name: str) -> str:
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "runs"), _slug(name))
 
 
-def _resolve_out(flag: str | None, run: ResolvedRun, base_dir: str) -> str:
+def _resolve_out(flag: str | None, case: SweepCase, base_dir: str) -> str:
     if flag:
         return flag
-    if run.output_dir:
-        return os.path.join(base_dir, run.output_dir)
-    return _default_out(run.label)
+    configured = case.config_snapshot.get("output_dir")
+    return os.path.join(base_dir, configured) if configured else _default_out(case.label)
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
@@ -85,12 +84,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"config expands to {len(runs)} cases; use the sweep subcommand for grids"
         )
-    run = runs[0]
-    out_dir = _resolve_out(args.out, run, base_dir)
-    transcripts = run_workload(run.case, run.prompts)
+    case, prompts = runs[0]
+    out_dir = _resolve_out(args.out, case, base_dir)
+    transcripts = run_workload(case, prompts)
     _save_transcripts(transcripts, out_dir)
     paths = render_report(out_dir)
-    print(f"{run.label}: {len(transcripts)} transcripts -> {out_dir}")
+    print(f"{case.label}: {len(transcripts)} transcripts -> {out_dir}")
     print(f"report: {paths['summary.csv']}")
     return EXIT_OK
 
@@ -101,14 +100,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     runs = materialize(config, base_dir)
     out_base = args.out or _default_out(os.path.splitext(os.path.basename(args.config))[0])
-    results = run_cases([(run.case, run.prompts) for run in runs], args.jobs)
+    results = run_cases(runs, args.jobs)
 
     rows = []
-    for i, (run, transcripts) in enumerate(zip(runs, results)):
-        case_dir = os.path.join(out_base, f"{i:02d}_{_slug(run.label)}")
+    for i, ((case, _), transcripts) in enumerate(zip(runs, results)):
+        case_dir = os.path.join(out_base, f"{i:02d}_{_slug(case.label)}")
         _save_transcripts(transcripts, case_dir)
-        row = summary_row(run.label, transcripts)
-        row["_kind"] = str(run.case.config_snapshot["policy"]["kind"])
+        row = summary_row(case.label, transcripts)
+        row["_kind"] = str(case.config_snapshot["policy"]["kind"])
         rows.append(row)
 
     best_by_kind: dict[str, float] = {}

@@ -12,7 +12,7 @@ import copy
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpora import sample_prompts
 from .drafter import DiffusionDrafter
@@ -188,7 +188,7 @@ def parse_policy(obj: dict) -> Policy:
             raise ConfigError("fixed_dllm policy needs draft_len")
         return FixedDLLM(
             _as(int, obj["draft_len"], "policy draft_len"),
-            str(obj.get("mode", "confidence_aware")),
+            obj.get("mode", "confidence_aware"),
         )
     if kind == "fail_fast":
         return FailFast(
@@ -203,18 +203,19 @@ def parse_policy(obj: dict) -> Policy:
     raise ConfigError(f"unknown policy kind: {kind!r}")
 
 
-@dataclass
-class ResolvedRun:
-    """One fully materialized grid cell: models, policy, prompts, output dir."""
+class ResolvedRun(NamedTuple):
+    """One grid cell: the ``(case, prompts)`` pair ``engine.run_cases`` runs."""
 
-    label: str
     case: SweepCase
     prompts: list[list[int]]
-    output_dir: str | None
+
+    @property
+    def label(self) -> str:
+        return self.case.label
 
 
 def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
-    """Expand grids and build runnable cases from a schema-checked config.
+    """Expand grids into the ``(case, prompts)`` pairs ``engine.run_cases`` runs.
 
     Relative paths are resolved against ``base_dir`` (the config file's own
     directory, for the CLI). Each corpus is read and tokenized once, and
@@ -251,6 +252,9 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         tok_kind = str(resolved.get("tokenizer", "char"))
         if tok_kind not in TOKENIZER_KINDS:
             raise ConfigError(f"unknown tokenizer kind: {tok_kind!r}")
+        if not isinstance(resolved.get("output_dir", ""), str):
+            raise ConfigError(f"output_dir must be a string, got {resolved['output_dir']!r}")
+        policy = parse_policy(resolved["policy"])
 
         target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
@@ -307,7 +311,6 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             )
             prompts = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts]
 
-        policy = parse_policy(resolved["policy"])
         cost = CostModel(**resolved.get("cost", {}))
         dataset = os.path.splitext(os.path.basename(corpus_path))[0]
         base_label = str(resolved.get("label", dataset))
@@ -322,8 +325,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
 
         runs.append(
             ResolvedRun(
-                label=label,
-                case=SweepCase(
+                SweepCase(
                     label=label,
                     target=target,
                     drafter=drafter,
@@ -334,8 +336,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                     seed=_as(int, resolved.get("seed", 0), "seed"),
                     config_snapshot=snapshot,
                 ),
-                prompts=prompts,
-                output_dir=resolved.get("output_dir"),
+                prompts,
             )
         )
     return runs

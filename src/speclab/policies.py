@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .drafter import DiffusionDrafter, DraftProposal, modal_chain
+from .drafter import DRAFT_MODES, DiffusionDrafter, DraftProposal, modal_chain
 from .errors import ConfigError
 from .ngram import argmax_token  # noqa: F401  (perfbench/spans.py wraps policies.argmax_token)
 
@@ -127,6 +127,8 @@ class FixedDLLM:
     def __post_init__(self) -> None:
         if self.draft_len < 1:
             raise ConfigError(f"draft length must be >= 1, got {self.draft_len}")
+        if self.mode not in DRAFT_MODES:
+            raise ConfigError(f"unknown draft mode: {self.mode!r}")
 
     def propose(self, drafter: DiffusionDrafter, prefix: list[int]) -> DraftProposal:
         return drafter.draft_tokens(prefix, self.draft_len, self.mode)

@@ -36,7 +36,6 @@ class VerificationResult:
     accepted_len: int
     replacement: int
     all_accepted: bool
-    verifier_passes: int = 1
 
     @property
     def replacement_kind(self) -> str:

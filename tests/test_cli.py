@@ -132,6 +132,7 @@ class TestRun:
             {"policy": {"kind": "fixed_dllm", "draft_len": True}},
             {"target": {"order": "5"}},
             {"cost": {"draft_pass_cost": True}},
+            {"output_dir": 5},
         ],
     )
     def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):

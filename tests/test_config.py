@@ -185,7 +185,9 @@ class TestMaterialize:
         runs = materialize(base_config(), str(workdir))
         assert len(runs) == 1
         run = runs[0]
-        assert run.label == "unit|fixed_ar(4)"
+        case, prompts = run  # the (case, prompts) pair engine.run_cases consumes
+        assert (case, prompts) == (run.case, run.prompts)
+        assert run.label == case.label == "unit|fixed_ar(4)"
         assert run.case.max_tokens == 24
         assert len(run.prompts) == 2
         assert all(isinstance(t, int) for t in run.prompts[0])
@@ -264,6 +266,12 @@ class TestOneTablePerCorpus:
         assert train_calls == [3, 4]
         materialize(base_config(target={"order": [4, 3], "smoothing": 0.1}), str(workdir))
         assert train_calls == [3, 4, 4]
+
+    def test_a_bad_draft_mode_fails_before_training(self, workdir, train_calls):
+        cfg = base_config(policy={"kind": "fixed_dllm", "draft_len": 4, "mode": "bogus"})
+        with pytest.raises(ConfigError, match="draft mode"):
+            materialize(cfg, str(workdir))
+        assert train_calls == []
 
     def test_trained_target_and_its_model_file_give_the_same_transcripts(self, workdir):
         corpus = str(workdir / "corpus.txt")

@@ -43,7 +43,6 @@ class TestGreedyVerification:
         assert result.all_accepted
         assert result.replacement == abc.vocabulary.id_of("b")
         assert result.replacement_kind == BONUS
-        assert result.verifier_passes == 1
 
     def test_first_mismatch_truncates_and_corrects(self, abc):
         prefix = abc.vocabulary.encode("a")
