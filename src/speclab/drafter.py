@@ -11,13 +11,14 @@ short-context backoff and the proposal quality drops accordingly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NoMaskedSlots
-from .ngram import NGramModel, argmax_token
+from .ngram import _DIST_CACHE_CAP, NGramModel, argmax_token
 
 ONE_STEP = "one_step"
 CONFIDENCE_AWARE = "confidence_aware"
@@ -110,9 +111,9 @@ def _proposals_for_masked(
     all computed from the state at the start of the step."""
     out = []
     for j in state.masked_slots():
-        dist = backbone.next_distribution(state.slot_context(j))
-        tok = argmax_token(dist)
-        out.append((j, tok, float(dist[tok]), dist))
+        context = state.slot_context(j)
+        tok, conf = backbone.top(context)
+        out.append((j, tok, conf, backbone.next_distribution(context)))
     return out
 
 
@@ -153,11 +154,10 @@ def modal_chain(
     confidences: list[float] = []
     distributions: list[np.ndarray] = []
     for _ in range(n):
-        dist = backbone.next_distribution(chain)
-        tok = argmax_token(dist)
+        tok, conf = backbone.top(chain)
+        distributions.append(backbone.next_distribution(chain))
         chain.append(tok)
-        confidences.append(float(dist[tok]))
-        distributions.append(dist)
+        confidences.append(conf)
     return chain[len(prefix) :], confidences, distributions
 
 
@@ -207,13 +207,33 @@ def fixed_step_block(
     return state
 
 
+class Block(NamedTuple):
+    """A block decoded to the end, with the leftmost unmasked run after each
+    pass: ``runs[i]`` is that run after pass ``i + 1``, so the state after any
+    pass is ``tokens[:runs[i]]`` (unmasked slots never change). A one-step
+    block has ``runs == (block_size,)``."""
+
+    tokens: tuple[int, ...]
+    confidences: tuple[float, ...]
+    distributions: tuple[np.ndarray, ...]
+    runs: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class DiffusionDrafter:
-    """The drafting side of the loop: a backbone plus block decoding settings."""
+    """The drafting side of the loop: a backbone plus block decoding settings.
+
+    Decoded blocks are cached per (mode, backbone window of the prefix): a
+    block reads its prefix only through the backbone, and passes are
+    deterministic, so equal windows decode equal blocks.
+    """
 
     backbone: NGramModel
     block_size: int = 8
     unmask_threshold: float = 0.9
+    _blocks: dict[tuple[str, tuple[int, ...]], Block] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -223,7 +243,38 @@ class DiffusionDrafter:
                 f"unmask threshold must be in (0, 1], got {self.unmask_threshold}"
             )
 
-    def one_step_blocks(self, prefix: list[int]) -> Iterator[BlockState]:
+    def __getstate__(self) -> dict:
+        # Like the backbone's lookup caches: cheap to rebuild, so not pickled.
+        state = self.__dict__.copy()
+        state["_blocks"] = {}
+        return state
+
+    def block(self, prefix: list[int], mode: str) -> Block:
+        """The block after ``prefix`` in ``mode``, decoded to the end on a
+        cache miss: one one-step pass, or denoise passes until unmasked."""
+        key = (mode, self.backbone.window(prefix))
+        cached = self._blocks.get(key)
+        if cached is not None:
+            return cached
+        if mode == ONE_STEP:
+            state = one_step_block(self.backbone, prefix, self.block_size)
+            runs = [self.block_size]
+        elif mode == CONFIDENCE_AWARE:
+            state = BlockState(list(prefix), self.block_size)
+            runs = []
+            while not state.all_unmasked:
+                denoise_step(self.backbone, state, self.unmask_threshold)
+                runs.append(state.leftmost_run())
+        else:
+            raise ConfigError(f"unknown draft mode: {mode!r}")
+        block = Block(
+            tuple(state.tokens), tuple(state.confidences), tuple(state.distributions), tuple(runs)
+        )
+        if len(self._blocks) < _DIST_CACHE_CAP:
+            self._blocks[key] = block
+        return block
+
+    def one_step_blocks(self, prefix: list[int]) -> Iterator[Block]:
         """Consecutive one-step blocks after ``prefix``, one pass each.
 
         The stream is endless; a caller that grows its draft chunk by chunk
@@ -231,22 +282,21 @@ class DiffusionDrafter:
         """
         context = list(prefix)
         while True:
-            state = one_step_block(self.backbone, context, self.block_size)
-            context += state.tokens
-            yield state
+            block = self.block(context, ONE_STEP)
+            context += block.tokens
+            yield block
 
     def draft_tokens(self, prefix: list[int], n: int, mode: str = CONFIDENCE_AWARE) -> DraftProposal:
         """Draft ``n`` tokens by decoding consecutive blocks.
 
-        Blocks are generated in order until the leftmost ``n`` draft positions
-        are all unmasked; exactly the first ``n`` tokens are returned but
-        every pass spent is charged, including passes that unmasked positions
-        beyond ``n`` (in confidence-aware mode the unmasking order inside a
-        block is confidence-ranked, so trailing blocks routinely cost passes
-        for tokens that are thrown away).
+        Each block is charged the passes its decoding needs until its leftmost
+        run covers the draft positions still missing (one in one-step mode);
+        exactly the first ``n`` tokens are returned but every pass spent is
+        charged, including passes that unmasked positions beyond ``n`` (in
+        confidence-aware mode the unmasking order inside a block is
+        confidence-ranked, so trailing blocks routinely cost passes for
+        tokens that are thrown away).
         """
-        if mode not in DRAFT_MODES:
-            raise ConfigError(f"unknown draft mode: {mode!r}")
         if n < 1:
             raise ConfigError(f"draft length must be >= 1, got {n}")
         tokens: list[int] = []
@@ -254,16 +304,11 @@ class DiffusionDrafter:
         distributions: list[np.ndarray] = []
         passes = 0
         while len(tokens) < n:
-            if mode == ONE_STEP:
-                state = one_step_block(self.backbone, prefix + tokens, self.block_size)
-                passes += 1
-            else:
-                state = BlockState(prefix + tokens, self.block_size)
-                while state.leftmost_run() < min(n - len(tokens), self.block_size):
-                    denoise_step(self.backbone, state, self.unmask_threshold)
-                    passes += 1
-            run = state.leftmost_run()
-            tokens += state.tokens[:run]
-            confidences += state.confidences[:run]
-            distributions += state.distributions[:run]
+            block = self.block(prefix + tokens, mode)
+            k = bisect_left(block.runs, min(n - len(tokens), self.block_size))
+            passes += k + 1
+            run = block.runs[k]
+            tokens += block.tokens[:run]
+            confidences += block.confidences[:run]
+            distributions += block.distributions[:run]
         return DraftProposal(tokens[:n], confidences[:n], distributions[:n], passes)

@@ -11,6 +11,7 @@ token given this context".
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -115,6 +116,7 @@ class NGramModel:
         self.smoothing = float(smoothing)
         self._counts = counts
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._top_cache: dict[tuple[int, ...], tuple[int, float]] = {}
 
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
@@ -130,15 +132,20 @@ class NGramModel:
             raise InvalidOrder(f"view order must be in 1..{self.order}, got {order}")
         return NGramModel(self.vocabulary, order, smoothing, self._counts)
 
+    def window(self, context: Sequence[int]) -> tuple[int, ...]:
+        """The last ``order - 1`` tokens of ``context``: all the model reads of
+        it, so every lookup and everything derived from one is keyed by it."""
+        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Dense next-token distribution after ``context``.
 
-        Only the last ``order - 1`` tokens of ``context`` are used. If that
-        window was never observed, the model backs off to the longest observed
-        suffix, bottoming out at the unigram level. Add-lambda smoothing is
-        applied at the matched level only.
+        Only the :meth:`window` of ``context`` is used. If that window was
+        never observed, the model backs off to the longest observed suffix,
+        bottoming out at the unigram level. Add-lambda smoothing is applied at
+        the matched level only.
         """
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        ctx = self.window(context)
         cached = self._dist_cache.get(ctx)
         if cached is not None:
             return cached
@@ -157,6 +164,20 @@ class NGramModel:
             self._dist_cache[ctx] = probs
         return probs
 
+    def top(self, context: Sequence[int]) -> tuple[int, float]:
+        """The argmax token after ``context`` (ties go to the lowest id) and
+        its probability, cached per :meth:`window`."""
+        ctx = self.window(context)
+        cached = self._top_cache.get(ctx)
+        if cached is not None:
+            return cached
+        dist = self.next_distribution(ctx)
+        tok = argmax_token(dist)
+        best = (tok, float(dist[tok]))
+        if len(self._top_cache) < _DIST_CACHE_CAP:
+            self._top_cache[ctx] = best
+        return best
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NGramModel(order={self.order}, smoothing={self.smoothing}, "
@@ -164,10 +185,11 @@ class NGramModel:
         )
 
     def __getstate__(self) -> dict:
-        # The distribution cache can be large and is cheap to rebuild; drop it
+        # The lookup caches can be large and are cheap to rebuild; drop them
         # when pickling (e.g. for multi-process sweeps).
         state = self.__dict__.copy()
         state["_dist_cache"] = {}
+        state["_top_cache"] = {}
         return state
 
 
@@ -244,9 +266,10 @@ def save_model(model: NGramModel, path: str | os.PathLike[str]) -> None:
 def load_model(path: str | os.PathLike[str]) -> NGramModel:
     """Read a model written by :func:`save_model`.
 
-    Raises :class:`IoError` on unreadable or unparseable files and
-    :class:`SchemaVersionMismatch` on a version this build does not support;
-    never returns a partially valid model.
+    Raises :class:`IoError` on unreadable, unparseable or malformed files (a
+    field of the wrong type, a count that is not a positive integer, a
+    non-finite smoothing) and :class:`SchemaVersionMismatch` on a version
+    this build does not support; never returns a partially valid model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -263,12 +286,25 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
             f"model schema_version {version!r} unsupported (expected {MODEL_SCHEMA_VERSION})"
         )
     try:
-        vocabulary = Vocabulary(tuple(payload["vocabulary"]))
+        tokens, order, smoothing = payload["vocabulary"], payload["order"], payload["smoothing"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary must be a list of strings")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if type(smoothing) not in (int, float) or not 0 <= smoothing < math.inf:
+            raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
+        if not isinstance(payload["counts"], dict):
+            raise ValueError("counts must be an object")
+        vocabulary = Vocabulary(tuple(tokens))
         index = {t: i for i, t in enumerate(vocabulary.tokens)}
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for key, bucket in payload["counts"].items():
+            if not isinstance(bucket, dict) or not bucket:
+                raise ValueError(f"bucket {key!r} must be a non-empty object")
+            if not all(type(c) is int and c >= 1 for c in bucket.values()):
+                raise ValueError(f"bucket {key!r} holds a count that is not an integer >= 1")
             ctx = () if key == "" else tuple(index[t] for t in key.split(_CTX_SEP))
-            counts[ctx] = {index[t]: int(c) for t, c in bucket.items()}
-        return NGramModel(vocabulary, int(payload["order"]), float(payload["smoothing"]), counts)
-    except (KeyError, TypeError, ValueError) as exc:
+            counts[ctx] = {index[t]: c for t, c in bucket.items()}
+        return NGramModel(vocabulary, order, float(smoothing), counts)
+    except (KeyError, TypeError, ValueError, ConfigError, EmptyCorpus) as exc:
         raise IoError(f"model file {path} is malformed: {exc}") from exc

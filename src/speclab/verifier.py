@@ -52,12 +52,11 @@ def verify_greedy(target: NGramModel, prefix: Sequence[int], proposal: DraftProp
     """
     ctx = list(prefix)
     for accepted, tok in enumerate(proposal.tokens):
-        dist = target.next_distribution(ctx)
-        best = argmax_token(dist)
+        best, _ = target.top(ctx)
         if tok != best:
             return VerificationResult(accepted, best, all_accepted=False)
         ctx.append(tok)
-    bonus = argmax_token(target.next_distribution(ctx))
+    bonus, _ = target.top(ctx)
     return VerificationResult(len(proposal.tokens), bonus, all_accepted=True)
 
 

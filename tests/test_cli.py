@@ -142,6 +142,19 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_malformed_model_file_fails_with_one_error_line(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        assert main(["train", str(corpus), "--out", str(tmp_path / "models")]) == 0
+        model_path = tmp_path / "models" / "corpus.target.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["counts"][""] = [["t", 3]]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        cfg = write_config(tmp_path, target={"model_file": "models/corpus.target.json"})
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
+
     def test_output_dir_env_var_sets_the_default(self, tmp_path, monkeypatch):
         write_corpus(tmp_path)
         cfg = write_config(tmp_path)

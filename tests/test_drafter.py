@@ -8,6 +8,8 @@ a), and the unigram argmax is a with probability 4/8 = 0.5 exactly.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,3 +216,92 @@ class TestContextTruncationProperty:
                 i -= 1
             expected = (prefix + run) if i < 0 else run
             assert state.slot_context(slot) == expected
+
+
+def reference_draft(drafter, prefix, n, mode):
+    """The draft loop without the block cache, on a cold copy of the backbone:
+    each block is decoded only as far as the draft still needs."""
+    backbone = drafter.backbone.with_order(drafter.backbone.order, drafter.backbone.smoothing)
+    tokens, confidences, distributions, passes = [], [], [], 0
+    while len(tokens) < n:
+        if mode == ONE_STEP:
+            state = one_step_block(backbone, prefix + tokens, drafter.block_size)
+            passes += 1
+        else:
+            state = BlockState(prefix + tokens, drafter.block_size)
+            while state.leftmost_run() < min(n - len(tokens), drafter.block_size):
+                denoise_step(backbone, state, drafter.unmask_threshold)
+                passes += 1
+        run = state.leftmost_run()
+        tokens += state.tokens[:run]
+        confidences += state.confidences[:run]
+        distributions += state.distributions[:run]
+    return DraftProposal(tokens[:n], confidences[:n], distributions[:n], passes)
+
+
+@pytest.fixture(scope="module")
+def warm(mixed_lab):
+    """One drafter whose block cache fills up across examples, plus prompts."""
+    return DiffusionDrafter(mixed_lab.drafter.backbone), mixed_lab.prompts(40, seed=17)
+
+
+def assert_same_proposal(got, want):
+    assert got.tokens == want.tokens
+    assert got.confidences == want.confidences
+    assert got.forward_passes == want.forward_passes
+    assert all(np.array_equal(g, w) for g, w in zip(got.distributions, want.distributions))
+
+
+class TestBlockCache:
+    def test_runs_record_the_run_after_each_pass(self, bigram):
+        # After "b" (threshold 0.9): slot 0 reads a at 1.0, then each pass can
+        # unmask only the slot right of the run (the rest sit at the unigram 0.5
+        # or P(b|a) = 0.75), so the run grows by one per pass.
+        drafter = DiffusionDrafter(bigram, block_size=4)
+        block = drafter.block(ids(bigram, "b"), CONFIDENCE_AWARE)
+        assert block.tokens == tuple(ids(bigram, "abab"))
+        assert block.confidences == (1.0, 0.75, 1.0, 0.75)
+        assert block.runs == (1, 2, 3, 4)
+        passes = [drafter.draft_tokens(ids(bigram, "b"), n).forward_passes for n in (1, 2, 3, 4)]
+        assert passes == [1, 2, 3, 4]
+        assert drafter.block(ids(bigram, "b"), ONE_STEP).runs == (4,)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pick=st.integers(min_value=0, max_value=39),
+        donor=st.integers(min_value=0, max_value=39),
+        n=st.integers(min_value=1, max_value=24),
+        mode=st.sampled_from([ONE_STEP, CONFIDENCE_AWARE]),
+    )
+    def test_warm_drafts_equal_the_uncached_loop(self, warm, pick, donor, n, mode):
+        """A prefix that shares only its backbone window with an earlier one
+        is served the earlier one's blocks, and the draft still equals the
+        uncached loop in tokens, confidences, distributions and passes."""
+        drafter, prompts = warm
+        prefix = prompts[pick]
+        k = drafter.backbone.order - 1
+        drafter.draft_tokens(prompts[donor][:-k] + prefix[-k:], n, mode)
+        want = reference_draft(drafter, prefix, n, mode)
+        for _ in range(2):
+            assert_same_proposal(drafter.draft_tokens(prefix, n, mode), want)
+
+    def test_modes_do_not_share_blocks(self, mixed_lab):
+        prompt = mixed_lab.prompts(1, seed=18)[0]
+        for first, second in ((ONE_STEP, CONFIDENCE_AWARE), (CONFIDENCE_AWARE, ONE_STEP)):
+            drafter = DiffusionDrafter(mixed_lab.drafter.backbone)
+            for mode in (first, second, first):
+                assert_same_proposal(
+                    drafter.draft_tokens(prompt, 20, mode), reference_draft(drafter, prompt, 20, mode)
+                )
+
+    def test_pickled_drafter_comes_back_cold_and_drafts_the_same(self, mixed_lab):
+        prompt = mixed_lab.prompts(1, seed=19)[0]
+        backbone = mixed_lab.drafter.backbone
+        drafter = DiffusionDrafter(backbone.with_order(backbone.order, backbone.smoothing))
+        before = [drafter.draft_tokens(prompt, 20, mode) for mode in (ONE_STEP, CONFIDENCE_AWARE)]
+        assert drafter._blocks and drafter.backbone._top_cache
+        clone = pickle.loads(pickle.dumps(drafter))
+        assert clone._blocks == {}
+        assert clone.backbone._top_cache == {} and clone.backbone._dist_cache == {}
+        for mode, want in zip((ONE_STEP, CONFIDENCE_AWARE), before):
+            assert_same_proposal(clone.draft_tokens(prompt, 20, mode), want)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from speclab.errors import (
     ConfigError,
     EmptyCorpus,
     InvalidOrder,
+    IoError,
     SchemaVersionMismatch,
     UnknownToken,
 )
@@ -148,6 +152,49 @@ class TestPersistence:
         with pytest.raises(SchemaVersionMismatch):
             load_model(path)
 
+    # Each edit of a valid file must fail to load with one typed error, never
+    # a traceback and never a model that loads but computes nonsense.
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (["counts"], [["a", 1]]),
+            (["counts", ""], [1, 2]),
+            (["counts", ""], {}),
+            (["counts", ""], {"a": -3, "b": 1}),
+            (["counts", ""], {"a": 1.5, "b": 1}),
+            (["counts", ""], {"a": True}),
+            (["counts", ""], {"a": "2"}),
+            (["order"], 2.7),
+            (["order"], True),
+            (["order"], 0),
+            (["smoothing"], "nan"),
+            (["smoothing"], float("nan")),
+            (["smoothing"], -0.5),
+            (["smoothing"], None),
+            (["vocabulary"], "ab"),
+            (["vocabulary"], ["a", "b"]),
+        ],
+    )
+    def test_malformed_fields_raise_io_error(self, tmp_path, path, value):
+        file = tmp_path / "m.json"
+        save_model(model_for(["abab"], order=2, smoothing=0.1), file)
+        payload = json.loads(file.read_text())
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        file.write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="is malformed"):
+            load_model(file)
+
+    def test_integral_smoothing_still_loads(self, tmp_path):
+        file = tmp_path / "m.json"
+        save_model(model_for(["abab"], order=2, smoothing=1.0), file)
+        payload = json.loads(file.read_text())
+        payload["smoothing"] = 1
+        file.write_text(json.dumps(payload))
+        assert load_model(file).smoothing == 1.0
+
 
 @st.composite
 def corpus_and_context(draw):
@@ -227,3 +274,34 @@ class TestDistributionProperties:
         for tok_id, tok in enumerate(model.vocabulary.tokens):
             expected = (text.count(tok) if tok != EOS_TOKEN else 1) / total
             assert float(dist[tok_id]) == pytest.approx(expected, abs=1e-15)
+
+
+class TestTop:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_and_context())
+    def test_top_is_the_argmax_and_its_probability(self, case):
+        docs, order, smoothing, context = case
+        model = model_for(docs, order=order, smoothing=smoothing)
+        context = [c % len(model.vocabulary) for c in context]
+        dist = model.next_distribution(context)
+        best = argmax_token(dist)
+        assert model.top(context) == (best, float(dist[best]))
+        assert model.top(context) == (best, float(dist[best]))  # served from the cache
+
+    def test_four_way_unigram_tie_goes_to_the_lowest_id(self):
+        # "abc" + <eos>: four tokens with one count each.
+        model = model_for(["abc"], order=1)
+        assert model.top([2, 1]) == (0, 0.25)
+
+    def test_window_is_the_last_order_minus_one_tokens(self):
+        assert model_for(["abcab"], order=3).window([0, 1, 2, 0]) == (2, 0)
+        assert model_for(["abcab"], order=3).window([1]) == (1,)
+        assert model_for(["abcab"], order=1).window([0, 1]) == ()
+
+    def test_pickling_drops_the_caches(self):
+        model = model_for(["abcab"], order=3, smoothing=0.1)
+        ids = model.vocabulary.encode("abca")
+        warm = [model.top(ids[:i]) for i in range(len(ids) + 1)]
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._top_cache == {} and clone._dist_cache == {}
+        assert [clone.top(ids[:i]) for i in range(len(ids) + 1)] == warm
