@@ -14,7 +14,7 @@ import re
 import sys
 
 from .config import load_config, materialize
-from .engine import SweepCase, run_cases, run_workload
+from .engine import SweepCase, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import REPORT_SCHEMA_VERSION, SUMMARY_COLUMNS, render_report, summary_row
@@ -100,10 +100,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     runs = materialize(config, base_dir)
     out_base = args.out or _default_out(os.path.splitext(os.path.basename(args.config))[0])
-    results = run_cases(runs, args.jobs)
-
     rows = []
-    for i, ((case, _), transcripts) in enumerate(zip(runs, results)):
+    for i, (case, prompts) in enumerate(runs):
+        transcripts = run_workload(case, prompts)
         case_dir = os.path.join(out_base, f"{i:02d}_{_slug(case.label)}")
         _save_transcripts(transcripts, case_dir)
         row = summary_row(case.label, transcripts)
@@ -187,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-tokens", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--verifier", choices=["greedy", "stochastic"])
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(func=fn)
 
     p_theory = sub.add_parser("theory", help="closed-form speedup curves and maximizers")

@@ -170,10 +170,13 @@ def read_corpus(path: str) -> list[str]:
     return docs
 
 
-def _as(kind: type, value: object, where: str):
-    """``value`` as ``kind``; an int takes a JSON integer only, a float any JSON number."""
+def _as(kind: type, value: object, where: str, at_least: int | None = None):
+    """``value`` as ``kind``, no less than ``at_least`` when given; an int takes
+    a JSON integer only, a float any JSON number."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{where} must be >= {at_least}, got {value!r}")
     return kind(value)
 
 
@@ -204,7 +207,7 @@ def parse_policy(obj: dict) -> Policy:
 
 
 class ResolvedRun(NamedTuple):
-    """One grid cell: the ``(case, prompts)`` pair ``engine.run_cases`` runs."""
+    """One grid cell: the ``(case, prompts)`` pair ``engine.run_workload`` runs."""
 
     case: SweepCase
     prompts: list[list[int]]
@@ -215,12 +218,16 @@ class ResolvedRun(NamedTuple):
 
 
 def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
-    """Expand grids into the ``(case, prompts)`` pairs ``engine.run_cases`` runs.
+    """Expand grids into the ``(case, prompts)`` pairs ``engine.run_workload`` runs.
 
     Relative paths are resolved against ``base_dir`` (the config file's own
     directory, for the CLI). Each corpus is read and tokenized once, and
     trained models are order-limited views of one count table, so an
     18-point draft-length sweep trains once; cells share equal models.
+    Cells with equal drafter settings also share one ``DiffusionDrafter``
+    and with it its block cache: a block depends only on the mode and the
+    backbone window of its prefix, and passes are deterministic, so a warm
+    drafter drafts exactly as a fresh one would.
     """
     validate_schema(config)
     runs: list[ResolvedRun] = []
@@ -228,6 +235,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     tokens_cache: dict[tuple[str, str], list[list[str]]] = {}
     tables: dict[tuple[str, str, str | None], NGramModel] = {}
     models: dict[object, NGramModel] = {}  # files by path, views by (table key, order, smoothing)
+    drafters: dict[tuple[NGramModel, int, float], DiffusionDrafter] = {}
     prompt_cache: dict[tuple, list[list[int]]] = {}
 
     def model(spec: dict, table_key: tuple) -> NGramModel:
@@ -255,6 +263,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         if not isinstance(resolved.get("output_dir", ""), str):
             raise ConfigError(f"output_dir must be a string, got {resolved['output_dir']!r}")
         policy = parse_policy(resolved["policy"])
+        seed = _as(int, resolved.get("seed", 0), "seed", at_least=0)
 
         target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
@@ -276,9 +285,10 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             )
         target = model(target_spec, table_key)
         backbone = model(drafter_spec, table_key)
-        drafter = DiffusionDrafter(
-            backbone, block_size=block_size, unmask_threshold=unmask_threshold
-        )
+        drafter_key = (backbone, block_size, unmask_threshold)
+        if drafter_key not in drafters:
+            drafters[drafter_key] = DiffusionDrafter(*drafter_key)
+        drafter = drafters[drafter_key]
 
         verifier = str(resolved.get("verifier", "greedy"))
         if verifier not in VERIFIER_KINDS:
@@ -305,9 +315,9 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                 raise ConfigError("prompt_sample needs 'count'")
             texts = sample_prompts(
                 docs,
-                _as(int, spec["count"], "prompt_sample count"),
-                length=_as(int, spec.get("length", 12), "prompt_sample length"),
-                seed=_as(int, spec.get("seed", 0), "prompt_sample seed"),
+                _as(int, spec["count"], "prompt_sample count", at_least=1),
+                length=_as(int, spec.get("length", 12), "prompt_sample length", at_least=1),
+                seed=_as(int, spec.get("seed", 0), "prompt_sample seed", at_least=0),
             )
             prompts = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts]
 
@@ -333,7 +343,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                     cost=cost,
                     verifier=verifier,
                     max_tokens=_as(int, resolved.get("max_tokens", 256), "max_tokens"),
-                    seed=_as(int, resolved.get("seed", 0), "seed"),
+                    seed=seed,
                     config_snapshot=snapshot,
                 ),
                 prompts,

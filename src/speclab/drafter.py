@@ -243,12 +243,6 @@ class DiffusionDrafter:
                 f"unmask threshold must be in (0, 1], got {self.unmask_threshold}"
             )
 
-    def __getstate__(self) -> dict:
-        # Like the backbone's lookup caches: cheap to rebuild, so not pickled.
-        state = self.__dict__.copy()
-        state["_blocks"] = {}
-        return state
-
     def block(self, prefix: list[int], mode: str) -> Block:
         """The block after ``prefix`` in ``mode``, decoded to the end on a
         cache miss: one one-step pass, or denoise passes until unmasked."""

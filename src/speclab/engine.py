@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -345,7 +344,12 @@ class SweepCase:
 
 
 def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Transcript]:
-    """Run every prompt through one case; prompt ``i`` uses seed (case.seed, i)."""
+    """Run every prompt through one case; prompt ``i`` uses seed (case.seed, i).
+
+    ``run_episode`` is looked up by its module name on every call and gets
+    ``seed`` and ``config_snapshot`` as keywords, so a caller can patch
+    ``engine.run_episode`` to time or trace each episode and read both.
+    """
     if not prompts:
         raise EmptyWorkload("no prompts to run")
     return [
@@ -364,35 +368,17 @@ def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Tran
     ]
 
 
-def _run_case(args: tuple[SweepCase, Sequence[Sequence[int]]]) -> list[Transcript]:
-    case, prompts = args
-    return run_workload(case, prompts)
-
-
-def run_cases(
-    runs: Sequence[tuple[SweepCase, Sequence[Sequence[int]]]], jobs: int = 1
-) -> list[list[Transcript]]:
-    """Run each case over its own prompts, in a pool of ``jobs`` processes
-    when ``jobs > 1``; results come back in input order."""
-    if jobs <= 1:
-        return [_run_case(run) for run in runs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_case, runs))
-
-
 def sweep(
     cases: Sequence[SweepCase],
     prompts: Sequence[Sequence[int]],
     jobs: int = 1,
 ) -> list[tuple[SweepCase, list[Transcript]]]:
-    """Run every case over every prompt.
+    """Run every case over every prompt, in this process and in case order.
 
-    Results are returned in case order regardless of execution order or
-    ``jobs``, so aggregation downstream is order-independent by construction.
+    ``jobs`` is accepted and ignored: sweeps run in one process, so cases
+    that share a drafter share its block cache. The parameter stays only
+    because the benchmark suite still passes it.
     """
     if not cases:
         raise EmptyWorkload("no sweep cases")
-    if not prompts:
-        raise EmptyWorkload("no prompts to run")
-    prompt_lists = [list(p) for p in prompts]
-    return list(zip(cases, run_cases([(case, prompt_lists) for case in cases], jobs)))
+    return [(case, run_workload(case, prompts)) for case in cases]

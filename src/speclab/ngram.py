@@ -184,14 +184,6 @@ class NGramModel:
             f"vocab={len(self.vocabulary)}, contexts={len(self._counts)})"
         )
 
-    def __getstate__(self) -> dict:
-        # The lookup caches can be large and are cheap to rebuild; drop them
-        # when pickling (e.g. for multi-process sweeps).
-        state = self.__dict__.copy()
-        state["_dist_cache"] = {}
-        state["_top_cache"] = {}
-        return state
-
 
 def argmax_token(dist: np.ndarray) -> int:
     """Index of the largest probability; ties resolve to the lowest token id."""

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speclab.cli import OUTPUT_DIR_ENV, main
 from speclab.config import load_config, materialize
@@ -133,6 +137,11 @@ class TestRun:
             {"target": {"order": "5"}},
             {"cost": {"draft_pass_cost": True}},
             {"output_dir": 5},
+            {"seed": -1},
+            {"prompt_sample": {"count": 2, "seed": -3}},
+            {"prompt_sample": {"count": 0}},
+            {"prompt_sample": {"count": 2, "length": -4}},
+            {"prompt_sample": {"count": 2, "length": 0}},
         ],
     )
     def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):
@@ -141,6 +150,50 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_negative_seed_flag_fails_with_one_error_line(self, tmp_path, capsys):
+        write_corpus(tmp_path)
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+
+    @settings(max_examples=40, deadline=None)
+    @example(path=("seed",), value=-1)
+    @example(path=("prompt_sample", "seed"), value=-3)
+    @example(path=("prompt_sample", "length"), value=0)
+    @given(
+        path=st.sampled_from(
+            [
+                ("seed",),
+                ("max_tokens",),
+                ("prompt_sample", "count"),
+                ("prompt_sample", "length"),
+                ("prompt_sample", "seed"),
+                ("policy", "draft_len"),
+                ("drafter", "block_size"),
+                ("target", "order"),
+            ]
+        ),
+        value=st.integers(-3, 40),
+    )
+    def test_any_config_integer_exits_cleanly(self, tmp_path_factory, path, value):
+        tmp_path = tmp_path_factory.mktemp("int")
+        write_corpus(tmp_path)
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code in (0, 1, 2)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_malformed_model_file_fails_with_one_error_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -191,14 +244,6 @@ class TestSweep:
         assert len(case_dirs) == 3
         assert all((out / d / "transcript_0000.json").exists() for d in case_dirs)
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        write_corpus(tmp_path)
-        cfg = write_config(tmp_path, policy={"kind": "fixed_dllm", "draft_len": [3, 5]})
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["sweep", str(cfg), "--out", str(serial)]) == 0
-        assert main(["sweep", str(cfg), "--out", str(parallel), "--jobs", "2"]) == 0
-        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
-
     def test_each_case_runs_its_own_prompts(self, tmp_path):
         write_corpus(tmp_path)
         cfg = write_config(
@@ -208,20 +253,17 @@ class TestSweep:
         )
         runs = materialize(load_config(cfg), str(tmp_path))
         assert runs[0].prompts != runs[-1].prompts
-        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
-        for jobs, out in outs.items():
-            assert main(["sweep", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
-        assert (outs[1] / "sweep.csv").read_bytes() == (outs[2] / "sweep.csv").read_bytes()
-        for out in outs.values():
-            case_dirs = sorted(d for d in os.listdir(out) if (out / d).is_dir())
-            assert len(case_dirs) == len(runs) == 4
-            for run, case_dir in zip(runs, case_dirs):
-                prompts = [
-                    json.loads((out / case_dir / name).read_text(encoding="utf-8"))["prompt"]
-                    for name in sorted(os.listdir(out / case_dir))
-                    if name.startswith("transcript_")
-                ]
-                assert prompts == run.prompts
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        case_dirs = sorted(d for d in os.listdir(out) if (out / d).is_dir())
+        assert len(case_dirs) == len(runs) == 4
+        for run, case_dir in zip(runs, case_dirs):
+            prompts = [
+                json.loads((out / case_dir / name).read_text(encoding="utf-8"))["prompt"]
+                for name in sorted(os.listdir(out / case_dir))
+                if name.startswith("transcript_")
+            ]
+            assert prompts == run.prompts
 
 
 class TestTheory:

@@ -185,7 +185,7 @@ class TestMaterialize:
         runs = materialize(base_config(), str(workdir))
         assert len(runs) == 1
         run = runs[0]
-        case, prompts = run  # the (case, prompts) pair engine.run_cases consumes
+        case, prompts = run  # the (case, prompts) pair engine.run_workload runs
         assert (case, prompts) == (run.case, run.prompts)
         assert run.label == case.label == "unit|fixed_ar(4)"
         assert run.case.max_tokens == 24
@@ -213,6 +213,17 @@ class TestMaterialize:
             is runs[1].case.drafter.backbone
             is runs[2].case.drafter.backbone
         )
+
+    def test_cells_with_equal_drafter_settings_share_one_drafter(self, workdir):
+        cfg = base_config(policy={"kind": "fixed_dllm", "draft_len": list(range(3, 21))})
+        runs = materialize(cfg, str(workdir))
+        assert len(runs) == 18
+        assert all(r.case.drafter is runs[0].case.drafter for r in runs)
+        drafter = {"order": 2, "smoothing": 0.1, "block_size": [4, 8]}
+        runs = materialize(base_config(drafter=drafter), str(workdir))
+        assert [r.case.drafter.block_size for r in runs] == [4, 8]
+        assert runs[0].case.drafter is not runs[1].case.drafter
+        assert runs[0].case.drafter.backbone is runs[1].case.drafter.backbone
 
     def test_prompt_file_source(self, workdir):
         (workdir / "prompts.txt").write_text("the cat\nthe dog\nthe mat\n", encoding="utf-8")
@@ -271,6 +282,11 @@ class TestOneTablePerCorpus:
         cfg = base_config(policy={"kind": "fixed_dllm", "draft_len": 4, "mode": "bogus"})
         with pytest.raises(ConfigError, match="draft mode"):
             materialize(cfg, str(workdir))
+        assert train_calls == []
+
+    def test_a_negative_seed_fails_before_training(self, workdir, train_calls):
+        with pytest.raises(ConfigError, match="seed"):
+            materialize(base_config(seed=-1), str(workdir))
         assert train_calls == []
 
     def test_trained_target_and_its_model_file_give_the_same_transcripts(self, workdir):

@@ -8,8 +8,6 @@ a), and the unigram argmax is a with probability 4/8 = 0.5 exactly.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,15 +291,3 @@ class TestBlockCache:
                 assert_same_proposal(
                     drafter.draft_tokens(prompt, 20, mode), reference_draft(drafter, prompt, 20, mode)
                 )
-
-    def test_pickled_drafter_comes_back_cold_and_drafts_the_same(self, mixed_lab):
-        prompt = mixed_lab.prompts(1, seed=19)[0]
-        backbone = mixed_lab.drafter.backbone
-        drafter = DiffusionDrafter(backbone.with_order(backbone.order, backbone.smoothing))
-        before = [drafter.draft_tokens(prompt, 20, mode) for mode in (ONE_STEP, CONFIDENCE_AWARE)]
-        assert drafter._blocks and drafter.backbone._top_cache
-        clone = pickle.loads(pickle.dumps(drafter))
-        assert clone._blocks == {}
-        assert clone.backbone._top_cache == {} and clone.backbone._dist_cache == {}
-        for mode, want in zip((ONE_STEP, CONFIDENCE_AWARE), before):
-            assert_same_proposal(clone.draft_tokens(prompt, 20, mode), want)

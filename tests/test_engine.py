@@ -32,7 +32,7 @@ from speclab.errors import (
     VocabularyMismatch,
 )
 from speclab.ngram import build_vocab, train_ngram
-from speclab.policies import FixedAR, FixedDLLM
+from speclab.policies import FailFast, FixedAR, FixedDLLM
 from speclab.verifier import vanilla_decode
 
 
@@ -233,20 +233,30 @@ class TestWorkloads:
         with pytest.raises(EmptyWorkload):
             sweep([case], [])
 
-    def test_parallel_sweep_matches_serial(self, mixed_lab):
+    @pytest.mark.parametrize("verifier", ["greedy", "stochastic"])
+    def test_a_shared_drafter_drafts_like_fresh_ones(self, mixed_lab, verifier):
         prompts = mixed_lab.prompts(3, seed=36)
-        cases = [
-            SweepCase(
-                label=f"n{n}", target=mixed_lab.target, drafter=mixed_lab.drafter,
-                policy=FixedDLLM(n), max_tokens=24,
-            )
-            for n in (4, 8)
-        ]
-        serial = sweep(cases, prompts, jobs=1)
-        parallel = sweep(cases, prompts, jobs=2)
-        assert [c.label for c, _ in parallel] == [c.label for c, _ in serial]
-        for (_, left), (_, right) in zip(serial, parallel):
-            assert [t.to_json() for t in left] == [t.to_json() for t in right]
+        backbone = mixed_lab.drafter.backbone
+        policies = [FixedDLLM(4), FixedDLLM(8), FixedDLLM(13, ONE_STEP), FixedAR(5), FailFast()]
+
+        def cases(drafter_for):
+            return [
+                SweepCase(
+                    label=f"c{i}", target=mixed_lab.target, drafter=drafter_for(),
+                    policy=policy, verifier=verifier, max_tokens=48,
+                )
+                for i, policy in enumerate(policies)
+            ]
+
+        def cold():  # a drafter over a backbone view whose caches are empty too
+            return DiffusionDrafter(backbone.with_order(backbone.order, backbone.smoothing))
+
+        shared = cold()
+        swept = sweep(cases(lambda: shared), prompts)
+        fresh = cases(cold)
+        assert [c.label for c, _ in swept] == [c.label for c in fresh]
+        for (_, got), case in zip(swept, fresh):
+            assert [t.to_json() for t in got] == [t.to_json() for t in run_workload(case, prompts)]
 
     def test_config_snapshot_is_embedded_verbatim(self, mixed_lab):
         snapshot = {"label": "embedded", "max_tokens": 16}

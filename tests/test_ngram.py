@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -297,11 +296,3 @@ class TestTop:
         assert model_for(["abcab"], order=3).window([0, 1, 2, 0]) == (2, 0)
         assert model_for(["abcab"], order=3).window([1]) == (1,)
         assert model_for(["abcab"], order=1).window([0, 1]) == ()
-
-    def test_pickling_drops_the_caches(self):
-        model = model_for(["abcab"], order=3, smoothing=0.1)
-        ids = model.vocabulary.encode("abca")
-        warm = [model.top(ids[:i]) for i in range(len(ids) + 1)]
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone._top_cache == {} and clone._dist_cache == {}
-        assert [clone.top(ids[:i]) for i in range(len(ids) + 1)] == warm
