@@ -18,6 +18,7 @@ from .engine import SweepCase, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import REPORT_SCHEMA_VERSION, SUMMARY_COLUMNS, render_report, summary_row
+from .report import write_summary_csv
 from .svg import render_curves
 from .theory import DRAFTER_AR, DRAFTER_BLOCK, best_gamma, speedup_curve
 from .tokenizers import tokenize
@@ -105,23 +106,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         transcripts = run_workload(case, prompts)
         case_dir = os.path.join(out_base, f"{i:02d}_{_slug(case.label)}")
         _save_transcripts(transcripts, case_dir)
-        row = summary_row(case.label, transcripts)
-        row["_kind"] = str(case.config_snapshot["policy"]["kind"])
-        rows.append(row)
+        rows.append(summary_row(case.label, transcripts))
 
-    best_by_kind: dict[str, float] = {}
-    for row in rows:
-        kind = row["_kind"]
-        best_by_kind[kind] = max(best_by_kind.get(kind, 0.0), float(row["speedup"]))
+    kinds = [str(case.config_snapshot["policy"]["kind"]) for case, _ in runs]
+    best = {k: max(float(r["speedup"]) for r, rk in zip(rows, kinds) if rk == k) for k in kinds}
+    for row, kind in zip(rows, kinds):
+        row["best"] = "*" if float(row["speedup"]) == best[kind] else ""
     sweep_path = os.path.join(out_base, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema_version={REPORT_SCHEMA_VERSION}\n")
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS + ("best",), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            kind = row.pop("_kind")
-            row["best"] = "*" if float(row["speedup"]) == best_by_kind[kind] else ""
-            writer.writerow(row)
+    write_summary_csv(sweep_path, rows, SUMMARY_COLUMNS + ("best",))
     print(f"{len(rows)} cases -> {sweep_path}")
     return EXIT_OK
 

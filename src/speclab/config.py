@@ -15,7 +15,7 @@ import os
 from typing import NamedTuple
 
 from .corpora import sample_prompts
-from .drafter import DiffusionDrafter
+from .drafter import DiffusionDrafter, check_settings
 from .engine import CostModel, SweepCase, VERIFIER_KINDS, VERIFIER_STOCHASTIC
 from .errors import ConfigError, EmptyCorpus, IoError
 from .ngram import NGramModel, load_model, train_ngram
@@ -262,8 +262,11 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             raise ConfigError(f"unknown tokenizer kind: {tok_kind!r}")
         if not isinstance(resolved.get("output_dir", ""), str):
             raise ConfigError(f"output_dir must be a string, got {resolved['output_dir']!r}")
+        # Every value that needs no model is checked before any training.
         policy = parse_policy(resolved["policy"])
         seed = _as(int, resolved.get("seed", 0), "seed", at_least=0)
+        max_tokens = _as(int, resolved.get("max_tokens", 256), "max_tokens", at_least=1)
+        cost = CostModel(**resolved.get("cost", {}))
 
         target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
@@ -271,6 +274,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         unmask_threshold = _as(
             float, drafter_spec.pop("unmask_threshold", 0.9), "drafter unmask_threshold"
         )
+        check_settings(block_size, unmask_threshold)
         # One table per corpus, tokenizer and vocabulary source (the target's
         # model file, else the corpus), trained at the highest order yet asked.
         vocab_source = str(target_spec["model_file"]) if "model_file" in target_spec else None
@@ -321,7 +325,6 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             )
             prompts = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts]
 
-        cost = CostModel(**resolved.get("cost", {}))
         dataset = os.path.splitext(os.path.basename(corpus_path))[0]
         base_label = str(resolved.get("label", dataset))
         suffix = ",".join(f"{k}={v}" for k, v in assignment.items())
@@ -342,7 +345,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                     policy=policy,
                     cost=cost,
                     verifier=verifier,
-                    max_tokens=_as(int, resolved.get("max_tokens", 256), "max_tokens"),
+                    max_tokens=max_tokens,
                     seed=seed,
                     config_snapshot=snapshot,
                 ),

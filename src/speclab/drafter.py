@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +44,11 @@ class DraftProposal:
         if not (len(self.tokens) == len(self.confidences) == len(self.distributions)):
             raise ConfigError("proposal fields must have equal length")
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass
 class BlockState:
-    """One block of ``block_size`` slots being denoised against a fixed prefix.
+    """The working state of confidence-aware denoising: one block of
+    ``block_size`` slots being denoised against a fixed prefix.
 
     A slot is either masked (``None`` entries) or unmasked with a committed
     token, its confidence, and the distribution it was drawn from. Unmasked
@@ -59,17 +57,14 @@ class BlockState:
 
     prefix: list[int]
     block_size: int
-    tokens: list[int | None] = field(default_factory=list)
-    confidences: list[float | None] = field(default_factory=list)
-    distributions: list[np.ndarray | None] = field(default_factory=list)
+    tokens: list[int | None] = field(init=False)
+    confidences: list[float | None] = field(init=False)
+    distributions: list[np.ndarray | None] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ConfigError(f"block size must be >= 1, got {self.block_size}")
-        if not self.tokens:
-            self.tokens = [None] * self.block_size
-            self.confidences = [None] * self.block_size
-            self.distributions = [None] * self.block_size
+        self.tokens = [None] * self.block_size
+        self.confidences = [None] * self.block_size
+        self.distributions = [None] * self.block_size
 
     def masked_slots(self) -> list[int]:
         return [j for j, tok in enumerate(self.tokens) if tok is None]
@@ -104,33 +99,20 @@ class BlockState:
         return run
 
 
-def _proposals_for_masked(
-    backbone: NGramModel, state: BlockState
-) -> list[tuple[int, int, float, np.ndarray]]:
-    """(slot, argmax token, confidence, distribution) for every masked slot,
-    all computed from the state at the start of the step."""
-    out = []
-    for j in state.masked_slots():
-        context = state.slot_context(j)
-        tok, conf = backbone.top(context)
-        out.append((j, tok, conf, backbone.next_distribution(context)))
-    return out
-
-
-def _unmask(state: BlockState, chosen: list[tuple[int, int, float, np.ndarray]]) -> None:
-    for j, tok, conf, dist in chosen:
-        state.tokens[j] = tok
-        state.confidences[j] = conf
-        state.distributions[j] = dist
-
-
 def denoise_step(backbone: NGramModel, state: BlockState, unmask_threshold: float) -> list[int]:
     """One parallel denoise pass: unmask every slot whose confidence clears
     ``unmask_threshold``, or the single most confident slot if none does
     (leftmost slot on ties), so every pass makes progress. Returns the slots
     unmasked by this pass. Costs one forward pass.
+
+    Every proposal is read from the state as it was at the start of the
+    step, so slots unmasked by this pass do not see each other.
     """
-    proposals = _proposals_for_masked(backbone, state)
+    proposals = []
+    for j in state.masked_slots():
+        context = state.slot_context(j)
+        tok, conf = backbone.top(context)
+        proposals.append((j, tok, conf, backbone.next_distribution(context)))
     if not proposals:
         raise NoMaskedSlots("block is already fully unmasked")
     chosen = [p for p in proposals if p[2] >= unmask_threshold]
@@ -140,7 +122,10 @@ def denoise_step(backbone: NGramModel, state: BlockState, unmask_threshold: floa
             if p[2] > best[2]:
                 best = p
         chosen = [best]
-    _unmask(state, chosen)
+    for j, tok, conf, dist in chosen:
+        state.tokens[j] = tok
+        state.confidences[j] = conf
+        state.distributions[j] = dist
     return [p[0] for p in chosen]
 
 
@@ -161,62 +146,68 @@ def modal_chain(
     return chain[len(prefix) :], confidences, distributions
 
 
-def one_step_block(backbone: NGramModel, prefix: list[int], block_size: int) -> BlockState:
-    """Generate a whole block in a single forward pass.
-
-    Slot ``j`` conditions on the prefix plus the argmax tokens already chosen
-    at slots ``0..j-1`` of this same pass (the modal chain), so one cheap pass
-    still yields a coherent block; the emulator charges it as one pass.
-    """
-    return BlockState(list(prefix), block_size, *modal_chain(backbone, prefix, block_size))
-
-
-def fixed_step_block(
-    backbone: NGramModel, prefix: list[int], block_size: int, steps: int
-) -> BlockState:
-    """Denoise a block in exactly ``steps`` passes with per-step unmask quotas.
-
-    The quota schedule splits the block as evenly as possible (a block of 8 in
-    3 steps unmasks 3, 3, then 2 slots) and each pass unmasks the leftmost
-    masked slots. Masked positions left of a slot are bridged with the
-    block's modal chain — the model's best coherent guess at the region, the
-    same idealisation one-step mode uses — but a slot r positions into its
-    pass distrusts the nearest guesses and conditions on only order-1-r
-    bridge tokens, decaying to the unigram. One step is maximally parallel
-    (and worst), ``block_size`` steps never bridges at all and is fully
-    sequential, and the range in between is the compute-quality knob.
-    """
-    if not 1 <= steps <= block_size:
-        raise ConfigError(f"steps must be in 1..{block_size}, got {steps}")
-    state = BlockState(prefix=list(prefix), block_size=block_size)
-    bridge = list(prefix) + modal_chain(backbone, prefix, block_size)[0]
-    usable = backbone.order - 1
-    base, rem = divmod(block_size, steps)
-    slot = 0
-    for step in range(steps):
-        quota = base + (1 if step < rem else 0)
-        for r in range(quota):
-            keep = max(0, usable - r)
-            visible = bridge[: len(prefix) + slot]
-            dist = backbone.next_distribution(visible[len(visible) - keep :] if keep else [])
-            tok = argmax_token(dist)
-            state.tokens[slot] = tok
-            state.confidences[slot] = float(dist[tok])
-            state.distributions[slot] = dist
-            slot += 1
-    return state
-
-
 class Block(NamedTuple):
-    """A block decoded to the end, with the leftmost unmasked run after each
-    pass: ``runs[i]`` is that run after pass ``i + 1``, so the state after any
-    pass is ``tokens[:runs[i]]`` (unmasked slots never change). A one-step
-    block has ``runs == (block_size,)``."""
+    """A block decoded to the end, as every block decoder returns it, with the
+    leftmost unmasked run after each pass: ``runs[i]`` is that run after pass
+    ``i + 1``, so the state after any pass is ``tokens[:runs[i]]`` (unmasked
+    slots never change). A one-step block has ``runs == (block_size,)``."""
 
     tokens: tuple[int, ...]
     confidences: tuple[float, ...]
     distributions: tuple[np.ndarray, ...]
     runs: tuple[int, ...]
+
+
+def one_step_block(backbone: NGramModel, prefix: list[int], block_size: int) -> Block:
+    """Generate a whole block in a single forward pass, so ``runs == (block_size,)``.
+
+    Slot ``j`` conditions on the prefix plus the argmax tokens already chosen
+    at slots ``0..j-1`` of this same pass (the modal chain), so one cheap pass
+    still yields a coherent block; the emulator charges it as one pass.
+    """
+    return Block(*map(tuple, modal_chain(backbone, prefix, block_size)), (block_size,))
+
+
+def fixed_step_block(backbone: NGramModel, prefix: list[int], block_size: int, steps: int) -> Block:
+    """Denoise a block in exactly ``steps`` passes with per-step unmask quotas.
+
+    The quota schedule splits the block as evenly as possible (a block of 8 in
+    3 steps unmasks 3, 3, then 2 slots) and each pass unmasks the leftmost
+    masked slots, so ``runs`` are the cumulative quotas: ``(3, 6, 8)``.
+    Masked positions left of a slot are bridged with the block's modal chain
+    — the model's best coherent guess at the region, the same idealisation
+    one-step mode uses — but a slot r positions into its pass distrusts the
+    nearest guesses and conditions on only order-1-r bridge tokens, decaying
+    to the unigram. One step is maximally parallel (and worst),
+    ``block_size`` steps never bridges at all and is fully sequential, and
+    the range in between is the compute-quality knob.
+    """
+    if not 1 <= steps <= block_size:
+        raise ConfigError(f"steps must be in 1..{block_size}, got {steps}")
+    bridge = list(prefix) + modal_chain(backbone, prefix, block_size)[0]
+    usable = backbone.order - 1
+    base, rem = divmod(block_size, steps)
+    slots: list[tuple[int, float, np.ndarray]] = []
+    runs: list[int] = []
+    for step in range(steps):
+        for r in range(base + (1 if step < rem else 0)):
+            keep = max(0, usable - r)
+            visible = bridge[: len(prefix) + len(slots)]
+            dist = backbone.next_distribution(visible[len(visible) - keep :] if keep else [])
+            tok = argmax_token(dist)
+            slots.append((tok, float(dist[tok]), dist))
+        runs.append(len(slots))
+    tokens, confidences, distributions = zip(*slots)
+    return Block(tokens, confidences, distributions, tuple(runs))
+
+
+def check_settings(block_size: int, unmask_threshold: float) -> None:
+    """Raise ``ConfigError`` unless a drafter can decode blocks with these
+    settings; ``config.materialize`` calls it before training any model."""
+    if block_size < 1:
+        raise ConfigError(f"block size must be >= 1, got {block_size}")
+    if not 0.0 < unmask_threshold <= 1.0:
+        raise ConfigError(f"unmask threshold must be in (0, 1], got {unmask_threshold}")
 
 
 @dataclass(frozen=True)
@@ -236,49 +227,31 @@ class DiffusionDrafter:
     )
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ConfigError(f"block size must be >= 1, got {self.block_size}")
-        if not 0.0 < self.unmask_threshold <= 1.0:
-            raise ConfigError(
-                f"unmask threshold must be in (0, 1], got {self.unmask_threshold}"
-            )
+        check_settings(self.block_size, self.unmask_threshold)
 
     def block(self, prefix: list[int], mode: str) -> Block:
         """The block after ``prefix`` in ``mode``, decoded to the end on a
-        cache miss: one one-step pass, or denoise passes until unmasked."""
+        cache miss: one one-step pass, or denoise passes until unmasked.
+        Both are looked up as module globals, so a profiler that replaces
+        them here counts every pass decoded."""
         key = (mode, self.backbone.window(prefix))
         cached = self._blocks.get(key)
         if cached is not None:
             return cached
         if mode == ONE_STEP:
-            state = one_step_block(self.backbone, prefix, self.block_size)
-            runs = [self.block_size]
+            block = one_step_block(self.backbone, prefix, self.block_size)
         elif mode == CONFIDENCE_AWARE:
             state = BlockState(list(prefix), self.block_size)
             runs = []
             while not state.all_unmasked:
                 denoise_step(self.backbone, state, self.unmask_threshold)
                 runs.append(state.leftmost_run())
+            block = Block(*map(tuple, (state.tokens, state.confidences, state.distributions, runs)))
         else:
             raise ConfigError(f"unknown draft mode: {mode!r}")
-        block = Block(
-            tuple(state.tokens), tuple(state.confidences), tuple(state.distributions), tuple(runs)
-        )
         if len(self._blocks) < _DIST_CACHE_CAP:
             self._blocks[key] = block
         return block
-
-    def one_step_blocks(self, prefix: list[int]) -> Iterator[Block]:
-        """Consecutive one-step blocks after ``prefix``, one pass each.
-
-        The stream is endless; a caller that grows its draft chunk by chunk
-        pulls blocks until the chunk is covered and pays for each one.
-        """
-        context = list(prefix)
-        while True:
-            block = self.block(context, ONE_STEP)
-            context += block.tokens
-            yield block
 
     def draft_tokens(self, prefix: list[int], n: int, mode: str = CONFIDENCE_AWARE) -> DraftProposal:
         """Draft ``n`` tokens by decoding consecutive blocks.

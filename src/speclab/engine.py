@@ -21,7 +21,7 @@ from .drafter import DiffusionDrafter, DraftProposal
 from .errors import ConfigError, EmptyWorkload, IoError, SchemaVersionMismatch, VocabularyMismatch
 from .ngram import NGramModel
 from .policies import Policy
-from .verifier import verify_greedy, verify_stochastic
+from .verifier import BONUS, CORRECTION, verify_greedy, verify_stochastic
 
 import numpy as np
 
@@ -101,6 +101,26 @@ class CostModel:
         }
 
 
+def _number(kind: type, value: object, name: str):
+    """A transcript field as ``kind``, checked and not coerced: an int takes a
+    JSON integer only, a float any JSON number, and neither a boolean."""
+    if type(value) is kind:
+        return value
+    if kind is float and (type(value) is int or isinstance(value, float)):
+        return float(value)
+    raise IoError(f"transcript is malformed: {name} must be {kind.__name__}, got {value!r}")
+
+
+def _list_of(kind: type, values: object, name: str) -> list:
+    """A transcript list whose items are all ``kind`` (floats may be integers)."""
+    if type(values) is list:
+        if set(map(type, values)) <= {kind}:
+            return values
+        if kind is float:
+            return [_number(float, v, name) for v in values]
+    raise IoError(f"transcript is malformed: {name} must be a list of {kind.__name__}")
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything one propose-verify round contributed to the episode."""
@@ -130,16 +150,19 @@ class RoundRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RoundRecord":
+        kind = obj["replacement_kind"]
+        if kind not in (BONUS, CORRECTION):
+            raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
         return cls(
-            proposed_len=int(obj["proposed_len"]),
-            accepted_len=int(obj["accepted_len"]),
-            drafter_passes=int(obj["drafter_passes"]),
-            replacement_kind=str(obj["replacement_kind"]),
-            proposed_tokens=[int(t) for t in obj["proposed_tokens"]],
-            replacement_token=int(obj["replacement_token"]),
-            confidences=[float(c) for c in obj["confidences"]],
-            draft_latency=float(obj["draft_latency"]),
-            verify_latency=float(obj["verify_latency"]),
+            proposed_len=_number(int, obj["proposed_len"], "proposed_len"),
+            accepted_len=_number(int, obj["accepted_len"], "accepted_len"),
+            drafter_passes=_number(int, obj["drafter_passes"], "drafter_passes"),
+            replacement_kind=kind,
+            proposed_tokens=_list_of(int, obj["proposed_tokens"], "proposed_tokens"),
+            replacement_token=_number(int, obj["replacement_token"], "replacement_token"),
+            confidences=_list_of(float, obj["confidences"], "confidences"),
+            draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
+            verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
         )
 
 
@@ -191,20 +214,22 @@ class Transcript:
                 f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
             )
         try:
+            if type(obj["config"]) is not dict:
+                raise IoError(f"transcript is malformed: config must be an object, got {obj['config']!r}")
             return cls(
-                config=dict(obj["config"]),
-                seed=[int(s) for s in obj["seed"]],
-                prompt=[int(t) for t in obj["prompt"]],
-                vocab=[str(t) for t in obj["vocab"]],
-                rounds=[RoundRecord.from_dict(r) for r in obj["rounds"]],
-                output=[int(t) for t in obj["output"]],
-                draft_latency=float(obj["draft_latency"]),
-                verify_latency=float(obj["verify_latency"]),
-                total_latency=float(obj["total_latency"]),
-                vanilla_latency=float(obj["vanilla_latency"]),
-                speedup=float(obj["speedup"]),
+                config=obj["config"],
+                seed=_list_of(int, obj["seed"], "seed"),
+                prompt=_list_of(int, obj["prompt"], "prompt"),
+                vocab=_list_of(str, obj["vocab"], "vocab"),
+                rounds=[RoundRecord.from_dict(r) for r in _list_of(dict, obj["rounds"], "rounds")],
+                output=_list_of(int, obj["output"], "output"),
+                draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
+                verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
+                total_latency=_number(float, obj["total_latency"], "total_latency"),
+                vanilla_latency=_number(float, obj["vanilla_latency"], "vanilla_latency"),
+                speedup=_number(float, obj["speedup"], "speedup"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
 
     def to_json(self) -> str:
@@ -231,7 +256,7 @@ class Transcript:
             raise IoError(f"cannot read transcript {path}: {exc}") from exc
         try:
             return cls.from_json(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise IoError(f"transcript {path} is not valid JSON: {exc}") from exc
         except IoError as exc:
             raise IoError(f"{path}: {exc}") from exc

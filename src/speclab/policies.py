@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .drafter import DRAFT_MODES, DiffusionDrafter, DraftProposal, modal_chain
+from .drafter import DRAFT_MODES, ONE_STEP, DiffusionDrafter, DraftProposal, modal_chain
 from .errors import ConfigError
 from .ngram import argmax_token  # noqa: F401  (perfbench/spans.py wraps policies.argmax_token)
 
@@ -52,7 +52,8 @@ def propose_fixed_ar(drafter: DiffusionDrafter, prefix: list[int], n: int) -> Dr
 
     Token-wise this is the same modal chain a one-step block produces; the
     difference is purely in the pass accounting, which is the point of
-    comparing the two drafter styles under one cost model.
+    comparing the two drafter styles under one cost model. The chain is
+    walked here, not as blocks, so a one-token draft decodes one token.
     """
     if n < 1:
         raise ConfigError(f"draft length must be >= 1, got {n}")
@@ -71,8 +72,9 @@ def propose_failfast(
     ``max_length`` is truncated back to it, and a proposal containing
     ``<eos>`` is cut just after the marker. Every one-step block pulled to
     cover a chunk costs one pass, whether or not its tokens survive the cut.
+    Blocks are read one at a time, so no chunk re-walks the earlier blocks.
     """
-    blocks = drafter.one_step_blocks(prefix)
+    context = list(prefix)
     eos = drafter.backbone.vocabulary.eos_id
     tokens: list[int] = []
     confidences: list[float] = []
@@ -83,7 +85,8 @@ def propose_failfast(
         chunk_start = length
         length += config.step_size
         while len(tokens) < length:
-            block = next(blocks)
+            block = drafter.block(context, ONE_STEP)
+            context += block.tokens
             passes += 1
             tokens += block.tokens
             confidences += block.confidences

@@ -89,11 +89,14 @@ def summary_row(label: str, group: list[Transcript], stats: SummaryStats | None 
     }
 
 
-def write_summary_csv(path: str, rows: list[dict[str, str]]) -> None:
+def write_summary_csv(
+    path: str, rows: list[dict[str, str]], columns: tuple[str, ...] = SUMMARY_COLUMNS
+) -> None:
+    """A schema-version line, then ``rows`` as CSV under ``columns``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# schema_version={REPORT_SCHEMA_VERSION}\n")
-            writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
     except OSError as exc:

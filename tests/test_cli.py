@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from speclab.cli import OUTPUT_DIR_ENV, main
 from speclab.config import load_config, materialize
 from speclab.ngram import load_model
+from speclab.report import SUMMARY_COLUMNS
 
 CORPUS = (
     "the cat sat on the mat and then the cat sat on the mat again\n"
@@ -229,6 +230,8 @@ class TestSweep:
         cfg = write_config(tmp_path, policy={"kind": "fixed_dllm", "draft_len": [3, 5, 7]})
         out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["# schema_version=1", ",".join(SUMMARY_COLUMNS + ("best",))]
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == 3
         assert [r["policy"] for r in rows] == [

@@ -289,6 +289,20 @@ class TestOneTablePerCorpus:
             materialize(base_config(seed=-1), str(workdir))
         assert train_calls == []
 
+    @pytest.mark.parametrize(
+        "override,match",
+        [
+            ({"max_tokens": 0}, "max_tokens"),
+            ({"drafter": {"order": 2, "smoothing": 0.1, "block_size": 0}}, "block size"),
+            ({"drafter": {"order": 2, "smoothing": 0.1, "unmask_threshold": 0}}, "unmask threshold"),
+            ({"cost": {"draft_pass_cost": -1}}, "pass costs"),
+        ],
+    )
+    def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):
+        with pytest.raises(ConfigError, match=match):
+            materialize(base_config(**override), str(workdir))
+        assert train_calls == []
+
     def test_trained_target_and_its_model_file_give_the_same_transcripts(self, workdir):
         corpus = str(workdir / "corpus.txt")
         models = str(workdir / "models")

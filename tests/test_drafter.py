@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.drafter import (
+    Block,
     BlockState,
     CONFIDENCE_AWARE,
     DiffusionDrafter,
@@ -24,7 +25,7 @@ from speclab.drafter import (
     one_step_block,
 )
 from speclab.errors import ConfigError, NoMaskedSlots
-from speclab.ngram import train_ngram
+from speclab.ngram import argmax_token, train_ngram
 
 import numpy as np
 
@@ -112,16 +113,20 @@ class TestModalChain:
 
 class TestOneStepBlock:
     def test_modal_chain_tokens_and_confidences(self, bigram):
-        state = one_step_block(bigram, ids(bigram, "b"), 4)
-        assert state.tokens == ids(bigram, "abab")
-        assert state.confidences == [1.0, 0.75, 1.0, 0.75]
-        assert state.all_unmasked
+        block = one_step_block(bigram, ids(bigram, "b"), 4)
+        assert isinstance(block, Block)
+        assert block.tokens == tuple(ids(bigram, "abab"))
+        assert block.confidences == (1.0, 0.75, 1.0, 0.75)
+        assert [float(d[t]) for d, t in zip(block.distributions, block.tokens)] == [
+            1.0, 0.75, 1.0, 0.75,
+        ]
+        assert block.runs == (4,)
 
     def test_block_stream_continues_the_chain(self, mixed_lab):
         prompt = mixed_lab.prompts(1, seed=15)[0]
-        blocks = mixed_lab.drafter.one_step_blocks(prompt)
-        streamed = [tok for _ in range(3) for tok in next(blocks).tokens]
-        assert streamed == modal_chain(mixed_lab.drafter.backbone, prompt, 24)[0]
+        drafted = mixed_lab.drafter.draft_tokens(prompt, 24, ONE_STEP)
+        assert drafted.tokens == modal_chain(mixed_lab.drafter.backbone, prompt, 24)[0]
+        assert drafted.forward_passes == 3
 
     def test_single_pass_charged(self, bigram):
         drafter = DiffusionDrafter(bigram, block_size=4)
@@ -165,6 +170,28 @@ class TestPassAccounting:
             mixed_lab.drafter.draft_tokens([0], 4, "beam")
 
 
+def reference_fixed_step(backbone, prefix, block_size, steps):
+    """Fixed-step denoising written against a ``BlockState``, slot by slot:
+    each pass unmasks its quota of leftmost slots from the bridged context."""
+    state = BlockState(prefix=list(prefix), block_size=block_size)
+    bridge = list(prefix) + modal_chain(backbone, prefix, block_size)[0]
+    usable = backbone.order - 1
+    base, rem = divmod(block_size, steps)
+    slot = 0
+    for step in range(steps):
+        quota = base + (1 if step < rem else 0)
+        for r in range(quota):
+            keep = max(0, usable - r)
+            visible = bridge[: len(prefix) + slot]
+            dist = backbone.next_distribution(visible[len(visible) - keep :] if keep else [])
+            tok = argmax_token(dist)
+            state.tokens[slot] = tok
+            state.confidences[slot] = float(dist[tok])
+            state.distributions[slot] = dist
+            slot += 1
+    return state
+
+
 class TestFixedStepBlock:
     def test_full_step_budget_equals_the_modal_chain(self, mixed_lab):
         prompt = mixed_lab.prompts(1, seed=13)[0]
@@ -176,9 +203,30 @@ class TestFixedStepBlock:
         prompt = mixed_lab.prompts(1, seed=14)[0]
         backbone = mixed_lab.drafter.backbone
         for steps in range(1, 9):
-            state = fixed_step_block(backbone, prompt, 8, steps)
-            assert state.all_unmasked
-            assert len(state.tokens) == 8
+            block = fixed_step_block(backbone, prompt, 8, steps)
+            assert isinstance(block, Block)
+            assert len(block.tokens) == 8
+            assert len(block.runs) == steps
+            assert block.runs[-1] == 8
+
+    def test_runs_are_the_cumulative_quotas(self, mixed_lab):
+        prompt = mixed_lab.prompts(1, seed=14)[0]
+        backbone = mixed_lab.drafter.backbone
+        assert fixed_step_block(backbone, prompt, 8, 3).runs == (3, 6, 8)
+        assert fixed_step_block(backbone, prompt, 8, 1).runs == (8,)
+        assert fixed_step_block(backbone, prompt, 8, 8).runs == tuple(range(1, 9))
+
+    def test_equals_the_slot_by_slot_state(self, mixed_lab):
+        backbone = mixed_lab.drafter.backbone
+        for prompt in mixed_lab.prompts(4, seed=19):
+            for steps in range(1, 9):
+                block = fixed_step_block(backbone, prompt, 8, steps)
+                want = reference_fixed_step(backbone, prompt, 8, steps)
+                assert list(block.tokens) == want.tokens
+                assert list(block.confidences) == want.confidences
+                assert all(
+                    np.array_equal(g, w) for g, w in zip(block.distributions, want.distributions)
+                )
 
     def test_step_budget_validated(self, bigram):
         with pytest.raises(ConfigError):
@@ -223,17 +271,18 @@ def reference_draft(drafter, prefix, n, mode):
     tokens, confidences, distributions, passes = [], [], [], 0
     while len(tokens) < n:
         if mode == ONE_STEP:
-            state = one_step_block(backbone, prefix + tokens, drafter.block_size)
+            block = one_step_block(backbone, prefix + tokens, drafter.block_size)
             passes += 1
+            run = drafter.block_size
         else:
-            state = BlockState(prefix + tokens, drafter.block_size)
-            while state.leftmost_run() < min(n - len(tokens), drafter.block_size):
-                denoise_step(backbone, state, drafter.unmask_threshold)
+            block = BlockState(prefix + tokens, drafter.block_size)
+            while block.leftmost_run() < min(n - len(tokens), drafter.block_size):
+                denoise_step(backbone, block, drafter.unmask_threshold)
                 passes += 1
-        run = state.leftmost_run()
-        tokens += state.tokens[:run]
-        confidences += state.confidences[:run]
-        distributions += state.distributions[:run]
+            run = block.leftmost_run()
+        tokens += block.tokens[:run]
+        confidences += block.confidences[:run]
+        distributions += block.distributions[:run]
     return DraftProposal(tokens[:n], confidences[:n], distributions[:n], passes)
 
 

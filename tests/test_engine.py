@@ -193,13 +193,47 @@ class TestTranscriptPersistence:
         t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
         no_rounds = t.to_dict()
         del no_rounds["rounds"]
-        bad_round = t.to_dict()
-        bad_round["rounds"][0]["accepted_len"] = "many"
-        for payload in (no_rounds, bad_round, [t.to_dict()], "text"):
+
+        def with_round(**fields):
+            payload = json.loads(t.to_json())
+            payload["rounds"][0].update(fields)
+            return payload
+
+        def with_top(**fields):
+            payload = json.loads(t.to_json())
+            payload.update(fields)
+            return payload
+
+        payloads = [
+            no_rounds,
+            with_round(accepted_len="many"),
+            # Values a lenient loader would coerce must be rejected instead.
+            with_round(proposed_len=3.7),
+            with_round(proposed_len=True),
+            with_round(accepted_len="2"),
+            with_round(replacement_kind=5),
+            with_round(replacement_kind="guess"),
+            with_round(draft_latency="1e3"),
+            with_round(draft_latency=True),
+            with_round(confidences=[0.5, "0.5"]),
+            with_top(output=[1.5]),
+            with_top(seed=[True]),
+            with_top(speedup="2"),
+            with_top(config=[["a", 1]]),
+            with_top(vocab=[1, 2]),
+            with_top(rounds={}),
+            [t.to_dict()],
+            "text",
+        ]
+        for payload in payloads:
             path = tmp_path / "malformed.json"
             path.write_text(json.dumps(payload), encoding="utf-8")
             with pytest.raises(IoError, match="malformed"):
                 Transcript.load(path)
+        # json.loads refuses integers longer than 4300 digits with a bare ValueError.
+        path.write_text('{"schema_version": 1, "seed": [' + "9" * 5000 + "]}", encoding="utf-8")
+        with pytest.raises(IoError, match="not valid JSON"):
+            Transcript.load(path)
 
 
 class TestWorkloads:

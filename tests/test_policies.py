@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab.drafter import ONE_STEP, DiffusionDrafter
+from speclab.drafter import ONE_STEP, DiffusionDrafter, one_step_block
 from speclab.errors import ConfigError
 from speclab.ngram import train_ngram
 from speclab.policies import (
@@ -172,3 +172,83 @@ class TestFailFastProperties:
             drafter, prefix, FailFastConfig(confidence_threshold=min(low + bump, 0.99))
         )
         assert len(strict.tokens) <= len(lenient.tokens)
+
+
+def reference_failfast(drafter, prefix, config):
+    """The chunk loop over an uncached stream of one-step blocks, decoded on
+    a cold view of the drafter's backbone."""
+    backbone = drafter.backbone.with_order(drafter.backbone.order, drafter.backbone.smoothing)
+
+    def stream():
+        context = list(prefix)
+        while True:
+            block = one_step_block(backbone, context, drafter.block_size)
+            context += block.tokens
+            yield block
+
+    blocks = stream()
+    eos = backbone.vocabulary.eos_id
+    tokens, confidences, distributions = [], [], []
+    passes = 0
+    length = 0
+    while True:
+        chunk_start = length
+        length += config.step_size
+        while len(tokens) < length:
+            block = next(blocks)
+            passes += 1
+            tokens += block.tokens
+            confidences += block.confidences
+            distributions += block.distributions
+        chunk = tokens[chunk_start:length]
+        if eos in chunk:
+            length = chunk_start + chunk.index(eos) + 1
+            break
+        if min(confidences[chunk_start:length]) < config.confidence_threshold:
+            break
+        if length >= config.max_length:
+            break
+    length = min(length, config.max_length)
+    return tokens[:length], confidences[:length], distributions[:length], passes
+
+
+@pytest.fixture(scope="module")
+def warm_failfast(mixed_lab):
+    """Drafters whose block caches fill up across examples, with their prompts:
+    the mixed corpus, and the ``<eos>`` corpus from the module docstring."""
+    eos = train_ngram([list("abz"), list("acz"), list("adz")], order=2, smoothing=0.0)
+    eos_prompts = [eos.vocabulary.encode(text) for text in ("a", "ab", "ac", "d", "z", "")]
+    return {
+        (corpus, size): (DiffusionDrafter(backbone, block_size=size), prompts)
+        for corpus, backbone, prompts in (
+            ("mixed", mixed_lab.drafter.backbone, mixed_lab.prompts(30, seed=24)),
+            ("eos", eos, eos_prompts),
+        )
+        for size in (4, 8)
+    }
+
+
+class TestFailFastReadsTheBlockCache:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        corpus=st.sampled_from(["mixed", "eos"]),
+        size=st.sampled_from([4, 8]),
+        pick=st.integers(min_value=0, max_value=29),
+        step=st.integers(min_value=1, max_value=12),
+        extra=st.integers(min_value=0, max_value=30),
+        threshold=st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_equals_the_uncached_block_stream(
+        self, warm_failfast, corpus, size, pick, step, extra, threshold
+    ):
+        drafter, prompts = warm_failfast[corpus, size]
+        prefix = prompts[pick % len(prompts)]
+        cfg = FailFastConfig(step_size=step, confidence_threshold=threshold, max_length=step + extra)
+        tokens, confidences, distributions, passes = reference_failfast(drafter, prefix, cfg)
+        for _ in range(2):
+            got = propose_failfast(drafter, prefix, cfg)
+            assert got.tokens == tokens
+            assert got.confidences == confidences
+            assert got.forward_passes == passes
+            assert len(got.distributions) == len(distributions)
+            assert all(np.array_equal(g, w) for g, w in zip(got.distributions, distributions))
