@@ -144,12 +144,10 @@ def load_config(path: str | os.PathLike[str]) -> dict:
     """Read and schema-check a config file (grids still unexpanded)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            obj = json.loads(fh.read())
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -162,7 +160,7 @@ def read_corpus(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             docs = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read corpus {path}: {exc}") from exc
     docs = [d for d in docs if d]
     if not docs:

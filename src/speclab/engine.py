@@ -121,6 +121,30 @@ def _list_of(kind: type, values: object, name: str) -> list:
     raise IoError(f"transcript is malformed: {name} must be a list of {kind.__name__}")
 
 
+# The C encoder, for scalars ``_scalar`` does not write itself: strings
+# (ASCII-escaped), bools, None, non-finite floats and float subclasses such
+# as ``np.float64``. It raises TypeError on what json.dumps rejects.
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _scalar(value) -> str:
+    """One scalar as ``json.dumps`` writes it."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _encode_scalar(value)
+
+
+def _flat_list(values: Sequence, pad: str) -> str:
+    """A list of scalars as ``json.dumps(..., indent=1)`` writes it, where
+    ``pad`` is a newline plus the items' indentation."""
+    if not values:
+        return "[]"
+    return "[" + pad + ("," + pad).join(map(_scalar, values)) + pad[:-1] + "]"
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything one propose-verify round contributed to the episode."""
@@ -164,6 +188,34 @@ class RoundRecord:
             draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
             verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
         )
+
+
+# RoundRecord.to_dict and Transcript.to_dict at indent=1, keys in their order.
+_ROUND_JSON = """  {
+   "proposed_len": %s,
+   "accepted_len": %s,
+   "drafter_passes": %s,
+   "replacement_kind": %s,
+   "proposed_tokens": %s,
+   "replacement_token": %s,
+   "confidences": %s,
+   "draft_latency": %s,
+   "verify_latency": %s
+  }"""
+_TRANSCRIPT_JSON = """{
+ "schema_version": %s,
+ "config": %s,
+ "seed": %s,
+ "prompt": %s,
+ "vocab": %s,
+ "rounds": %s,
+ "output": %s,
+ "draft_latency": %s,
+ "verify_latency": %s,
+ "total_latency": %s,
+ "vanilla_latency": %s,
+ "speedup": %s
+}"""
 
 
 @dataclass
@@ -216,7 +268,7 @@ class Transcript:
         try:
             if type(obj["config"]) is not dict:
                 raise IoError(f"transcript is malformed: config must be an object, got {obj['config']!r}")
-            return cls(
+            t = cls(
                 config=obj["config"],
                 seed=_list_of(int, obj["seed"], "seed"),
                 prompt=_list_of(int, obj["prompt"], "prompt"),
@@ -231,18 +283,58 @@ class Transcript:
             )
         except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
+        ids = [t.prompt, t.output, [r.replacement_token for r in t.rounds]]
+        ids += [r.proposed_tokens for r in t.rounds]
+        if not all(0 <= min(x) and max(x) < len(t.vocab) for x in ids if x):
+            raise IoError("transcript is malformed: a token id lies outside the vocabulary")
+        return t
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        """Exactly the bytes of ``json.dumps(self.to_dict(), indent=1)``.
+
+        The text is built from the fixed schema rather than by walking the
+        dict, because ``indent`` forces CPython's pure-Python encoder.
+        ``config`` is free-form and still goes through ``json.dumps``;
+        every other field holds the schema's scalars or flat lists of them.
+        """
+        rounds = ",\n".join([
+            _ROUND_JSON % (
+                _scalar(r.proposed_len),
+                _scalar(r.accepted_len),
+                _scalar(r.drafter_passes),
+                _scalar(r.replacement_kind),
+                _flat_list(r.proposed_tokens, "\n    "),
+                _scalar(r.replacement_token),
+                _flat_list(r.confidences, "\n    "),
+                _scalar(r.draft_latency),
+                _scalar(r.verify_latency),
+            )
+            for r in self.rounds
+        ])
+        return _TRANSCRIPT_JSON % (
+            _scalar(self.schema_version),
+            json.dumps(self.config, indent=1).replace("\n", "\n "),
+            _flat_list(self.seed, "\n  "),
+            _flat_list(self.prompt, "\n  "),
+            _flat_list(self.vocab, "\n  "),
+            "[\n" + rounds + "\n ]" if self.rounds else "[]",
+            _flat_list(self.output, "\n  "),
+            _scalar(self.draft_latency),
+            _scalar(self.verify_latency),
+            _scalar(self.total_latency),
+            _scalar(self.vanilla_latency),
+            _scalar(self.speedup),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | os.PathLike[str]) -> None:
+        text = self.to_json()  # first, so a value JSON rejects leaves no file
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.to_json())
+                fh.write(text)
                 fh.write("\n")
         except OSError as exc:
             raise IoError(f"cannot write transcript {path}: {exc}") from exc
@@ -251,12 +343,10 @@ class Transcript:
     def load(cls, path: str | os.PathLike[str]) -> "Transcript":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return cls.from_json(fh.read())
         except OSError as exc:
             raise IoError(f"cannot read transcript {path}: {exc}") from exc
-        try:
-            return cls.from_json(text)
-        except ValueError as exc:  # also an integer past Python's digit limit
+        except ValueError as exc:  # also text that is not UTF-8, or an integer past Python's digit limit
             raise IoError(f"transcript {path} is not valid JSON: {exc}") from exc
         except IoError as exc:
             raise IoError(f"{path}: {exc}") from exc

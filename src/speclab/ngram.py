@@ -268,7 +268,7 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
             payload = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8, or an integer past Python's digit limit
         raise IoError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "ngram-model":
         raise IoError(f"{path} is not an n-gram model file")

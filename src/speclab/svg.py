@@ -70,7 +70,12 @@ def render_raster(rows: Sequence[Sequence[str]], title: str = "easy/hard raster"
     """Grid of per-token difficulty cells, one episode per row.
 
     Green cells are easy tokens, red are hard, grey is the padding that marks
-    an episode shorter than the widest one.
+    an episode shorter than the widest one; any other flag is drawn grey too.
+
+    The output is byte-identical to one ``_Canvas.rect`` per cell. A cell's
+    x depends only on its column and its y only on its row, so each column's
+    ``<rect x=".." y="`` prefix, each row's y and each color's tail are
+    formatted once, and a cell is their concatenation.
     """
     width = max((len(r) for r in rows), default=0)
     cell = max(1.0, min(8.0, 880.0 / max(1, width)))
@@ -79,10 +84,13 @@ def render_raster(rows: Sequence[Sequence[str]], title: str = "easy/hard raster"
     canvas = _Canvas(ox * 2 + cell * width, oy + row_h * len(rows) + 10.0)
     canvas.text(ox, 14, title)
     canvas.text(ox, 24, "green=easy red=hard grey=absent", size=8)
-    colors = {"easy": EASY_COLOR, "hard": HARD_COLOR}
+    columns = [f'<rect x="{_fmt(ox + j * cell)}" y="' for j in range(width)]
+    size = f'" width="{_fmt(cell)}" height="{_fmt(row_h)}" fill="'
+    tails = {"easy": f'{size}{EASY_COLOR}"/>', "hard": f'{size}{HARD_COLOR}"/>'}
+    absent = f'{size}{ABSENT_COLOR}"/>'
     for i, row in enumerate(rows):
-        for j, flag in enumerate(row):
-            canvas.rect(ox + j * cell, oy + i * row_h, cell, row_h, colors.get(flag, ABSENT_COLOR))
+        y = _fmt(oy + i * row_h)
+        canvas.parts.extend([x + y + tails.get(flag, absent) for x, flag in zip(columns, row)])
     return canvas.render()
 
 

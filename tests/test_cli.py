@@ -46,6 +46,51 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# JSON integer literals, written as text: Python refuses str() of an int
+# past 4,300 digits, and json.loads refuses to read one.
+INTEGERS = st.integers(-3, 40).map(str)
+HUGE_INTEGER = "9" * 5000
+
+
+def with_integer(obj, path, literal):
+    """``obj`` as JSON text with the field at ``path`` set to the integer ``literal``."""
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@integer@"
+    return json.dumps(obj).replace('"@integer@"', literal)
+
+
+def exits_cleanly(argv):
+    """Run the CLI: exit code 0, 1 or 2, and one ``error:`` line when not 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error: ") for line in lines) <= 1
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """``speclab train`` output for the test corpus."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    corpus = write_corpus(tmp_path)
+    assert main(["train", str(corpus), "--out", str(tmp_path / "models")]) == 0
+    return tmp_path / "models"
+
+
+@pytest.fixture(scope="module")
+def run_out(tmp_path_factory):
+    """``speclab run`` output for the test config: transcripts and a bundle."""
+    tmp_path = tmp_path_factory.mktemp("run")
+    write_corpus(tmp_path)
+    assert main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
+
+
 def read_rows(path):
     """Parse a schema-stamped CSV into dict rows."""
     lines = open(path, encoding="utf-8").read().splitlines()
@@ -160,9 +205,10 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
 
     @settings(max_examples=40, deadline=None)
-    @example(path=("seed",), value=-1)
-    @example(path=("prompt_sample", "seed"), value=-3)
-    @example(path=("prompt_sample", "length"), value=0)
+    @example(path=("seed",), value="-1")
+    @example(path=("prompt_sample", "seed"), value="-3")
+    @example(path=("prompt_sample", "length"), value="0")
+    @example(path=("max_tokens",), value=HUGE_INTEGER)
     @given(
         path=st.sampled_from(
             [
@@ -176,25 +222,29 @@ class TestRun:
                 ("target", "order"),
             ]
         ),
-        value=st.integers(-3, 40),
+        value=INTEGERS,
     )
     def test_any_config_integer_exits_cleanly(self, tmp_path_factory, path, value):
         tmp_path = tmp_path_factory.mktemp("int")
         write_corpus(tmp_path)
         cfg_path = write_config(tmp_path)
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert code in (0, 1, 2)
-        if code:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+        cfg_path.write_text(with_integer(cfg, path, value), encoding="utf-8")
+        exits_cleanly(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+
+    @settings(max_examples=25, deadline=None)
+    @example(path=("order",), value=HUGE_INTEGER)
+    @given(
+        path=st.sampled_from([("schema_version",), ("order",), ("counts", "", "t")]),
+        value=INTEGERS,
+    )
+    def test_any_model_file_integer_exits_cleanly(self, trained, tmp_path_factory, path, value):
+        tmp_path = tmp_path_factory.mktemp("model")
+        write_corpus(tmp_path)
+        model = json.loads((trained / "corpus.target.json").read_text(encoding="utf-8"))
+        (tmp_path / "target.json").write_text(with_integer(model, path, value), encoding="utf-8")
+        cfg = write_config(tmp_path, target={"model_file": "target.json"})
+        exits_cleanly(["run", str(cfg), "--out", str(tmp_path / "out")])
 
     def test_malformed_model_file_fails_with_one_error_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -222,6 +272,36 @@ class TestRun:
         cfg = write_config(tmp_path, output_dir="cfg_out")
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "cfg_out" / "summary.csv").exists()
+
+
+class TestUnreadableText:
+    @pytest.mark.parametrize(
+        "command, name, code",
+        [
+            ("run", "config.json", 1),
+            ("run", "corpus.txt", 2),
+            ("run", "target.json", 2),
+            ("report", "out/transcript_0000.json", 2),
+        ],
+    )
+    def test_a_file_that_is_not_utf8_fails_with_one_error_line(
+        self, tmp_path, capsys, command, name, code
+    ):
+        corpus = write_corpus(tmp_path)
+        assert main(["train", str(corpus), "--out", str(tmp_path)]) == 0
+        os.replace(tmp_path / "corpus.target.json", tmp_path / "target.json")
+        cfg = write_config(tmp_path, target={"model_file": "target.json"})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:8] + b"\xff" + path.read_bytes()[8:])
+        capsys.readouterr()
+        if command == "run":
+            argv = ["run", str(cfg), "--out", str(tmp_path / "again")]
+        else:
+            argv = ["report", str(tmp_path / "out")]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestSweep:
@@ -296,6 +376,31 @@ class TestReport:
 
     def test_directory_without_transcripts(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @example(path=("seed", 0), value=HUGE_INTEGER)
+    @given(
+        path=st.sampled_from(
+            [
+                ("schema_version",),
+                ("seed", 0),
+                ("prompt", 0),
+                ("output", 0),
+                ("rounds", 0, "proposed_len"),
+                ("rounds", 0, "accepted_len"),
+                ("rounds", 0, "drafter_passes"),
+                ("rounds", 0, "replacement_token"),
+                ("rounds", 0, "proposed_tokens", 0),
+                ("config", "max_tokens"),
+            ]
+        ),
+        value=INTEGERS,
+    )
+    def test_any_transcript_integer_exits_cleanly(self, run_out, tmp_path_factory, path, value):
+        tmp_path = tmp_path_factory.mktemp("transcript")
+        t = json.loads((run_out / "transcript_0000.json").read_text(encoding="utf-8"))
+        (tmp_path / "transcript_0000.json").write_text(with_integer(t, path, value), encoding="utf-8")
+        exits_cleanly(["report", str(tmp_path)])
 
     @pytest.mark.parametrize("payload", [{"schema_version": 1}, [1, 2]])
     def test_malformed_transcript_fails_with_one_error_line(self, tmp_path, capsys, payload):

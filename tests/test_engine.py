@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab.drafter import ONE_STEP, DiffusionDrafter
 from speclab.engine import (
     CostModel,
+    RoundRecord,
     SweepCase,
     Transcript,
     run_episode,
@@ -221,6 +225,11 @@ class TestTranscriptPersistence:
             with_top(speedup="2"),
             with_top(config=[["a", 1]]),
             with_top(vocab=[1, 2]),
+            # Token ids must index the transcript's own vocabulary.
+            with_top(prompt=[len(t.vocab)]),
+            with_top(output=[-1]),
+            with_round(replacement_token=len(t.vocab)),
+            with_round(proposed_tokens=[0, -1]),
             with_top(rounds={}),
             [t.to_dict()],
             "text",
@@ -234,6 +243,110 @@ class TestTranscriptPersistence:
         path.write_text('{"schema_version": 1, "seed": [' + "9" * 5000 + "]}", encoding="utf-8")
         with pytest.raises(IoError, match="not valid JSON"):
             Transcript.load(path)
+
+
+# Scalars of every kind json.dumps writes, non-finite and signed-zero floats,
+# numpy float subclasses and bools included; strings with quotes,
+# backslashes, control characters and non-ASCII.
+FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+SCALARS = st.one_of(
+    st.integers(), FLOATS, FLOATS.map(np.float64), st.booleans(), st.none(),
+    st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u4e2d\U0001f600", ""]),
+)
+# Homogeneous lists, the common case in real transcripts.
+INT_LISTS = st.lists(st.integers(), max_size=6)
+UNIT_FLOAT_LISTS = st.lists(st.floats(-1, 1), max_size=6)
+CONFIGS = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+ROUNDS = st.builds(
+    RoundRecord,
+    proposed_len=SCALARS,
+    accepted_len=SCALARS,
+    drafter_passes=SCALARS,
+    replacement_kind=SCALARS,
+    proposed_tokens=st.lists(SCALARS, max_size=6) | INT_LISTS,
+    replacement_token=SCALARS,
+    confidences=st.lists(SCALARS, max_size=6) | st.lists(FLOATS, max_size=6) | UNIT_FLOAT_LISTS,
+    draft_latency=SCALARS,
+    verify_latency=SCALARS,
+)
+TRANSCRIPTS = st.builds(
+    Transcript,
+    config=CONFIGS,
+    seed=st.lists(SCALARS, max_size=6),
+    prompt=INT_LISTS,
+    vocab=st.lists(st.text(), max_size=6),
+    rounds=st.lists(ROUNDS, max_size=3),
+    output=st.lists(SCALARS, max_size=6),
+    draft_latency=SCALARS,
+    verify_latency=SCALARS,
+    total_latency=SCALARS,
+    vanilla_latency=SCALARS,
+    speedup=SCALARS,
+    schema_version=SCALARS,
+)
+
+
+class TestTranscriptJson:
+    """``to_json`` writes the schema by hand; ``json.dumps`` of ``to_dict`` is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(TRANSCRIPTS)
+    def test_same_bytes_as_json_dumps(self, t):
+        assert t.to_json() == json.dumps(t.to_dict(), indent=1)
+
+    def test_empty_lists_and_no_rounds(self):
+        empty = RoundRecord(0, 0, 0, "bonus", [], 1, [], 0.0, 1.0)
+        for rounds in ([], [empty], [empty, empty]):
+            t = Transcript({}, [], [], [], rounds, [], 0.0, 0.0, 0.0, 0.0, 1.0)
+            assert t.to_json() == json.dumps(t.to_dict(), indent=1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"output": [1, np.int64(2)]},
+            {"speedup": np.int64(2)},
+            {"config": {"max_tokens": np.int64(8)}},
+            {"rounds": [RoundRecord(1, 1, 1, "bonus", [np.int64(3)], 1, [0.5], 0.05, 1.0)]},
+            {"rounds": [RoundRecord(np.int64(1), 1, 1, "bonus", [3], 1, [0.5], 0.05, 1.0)]},
+        ],
+    )
+    def test_values_json_rejects_raise_and_write_nothing(self, mixed_lab, tmp_path, change):
+        prompt = mixed_lab.prompts(1, seed=38)[0]
+        t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(2), CostModel(), prompt, 8)
+        for name, value in change.items():
+            setattr(t, name, value)
+        with pytest.raises(TypeError):
+            json.dumps(t.to_dict(), indent=1)
+        with pytest.raises(TypeError):
+            t.to_json()
+        path = tmp_path / "rejected.json"
+        with pytest.raises(TypeError):
+            t.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("verifier", ["greedy", "stochastic"])
+    def test_every_transcript_of_a_sweep(self, mixed_lab, verifier):
+        prompts = mixed_lab.prompts(4, seed=39)
+        policies = [FixedAR(3), FixedDLLM(6), FixedDLLM(13, ONE_STEP), FailFast()]
+        cases = [
+            SweepCase(
+                label=f"c{i}", target=mixed_lab.target, drafter=mixed_lab.drafter,
+                policy=policy, verifier=verifier, max_tokens=64,
+                config_snapshot={"label": f"c{i}", "policy": policy.label(), "grid": [i, None, 0.5]},
+            )
+            for i, policy in enumerate(policies)
+        ]
+        for _, transcripts in sweep(cases, prompts):
+            for t in transcripts:
+                assert t.to_json() == json.dumps(t.to_dict(), indent=1)
 
 
 class TestWorkloads:

@@ -6,8 +6,11 @@ import csv
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from speclab.analysis import summarize
+from speclab import svg
+from speclab.analysis import build_raster, summarize
 from speclab.engine import CostModel, RoundRecord, Transcript, run_episode
 from speclab.errors import EmptyTranscript, IoError, MissingTranscripts
 from speclab.policies import FixedAR, FixedDLLM
@@ -201,3 +204,47 @@ class TestSvgRendering:
         svg = render_curves([("a<b&c", [(1, 1.0), (2, 2.0)])], "x", "y", "t")
         assert "a<b&c" not in svg
         assert "a&lt;b&amp;c" in svg
+
+
+def per_cell_raster(rows, title="easy/hard raster"):
+    """The reference ``render_raster``: one ``_Canvas.rect`` per cell."""
+    width = max((len(r) for r in rows), default=0)
+    cell = max(1.0, min(8.0, 880.0 / max(1, width)))
+    row_h = max(2.0, min(8.0, 400.0 / max(1, len(rows))))
+    ox, oy = 10.0, 30.0
+    canvas = svg._Canvas(ox * 2 + cell * width, oy + row_h * len(rows) + 10.0)
+    canvas.text(ox, 14, title)
+    canvas.text(ox, 24, "green=easy red=hard grey=absent", size=8)
+    colors = {"easy": svg.EASY_COLOR, "hard": svg.HARD_COLOR}
+    for i, row in enumerate(rows):
+        for j, flag in enumerate(row):
+            canvas.rect(ox + j * cell, oy + i * row_h, cell, row_h, colors.get(flag, svg.ABSENT_COLOR))
+    return canvas.render()
+
+
+def assert_same_svg(got, want):
+    # Lines first: pytest's diff of two long unequal strings can take minutes.
+    assert got.splitlines() == want.splitlines()
+    assert got == want
+
+
+# One letter per cell: easy, hard, absent, and flags the renderer does not know.
+FLAGS = {"e": "easy", "h": "hard", "a": "absent", "x": "EASY", "z": ""}
+
+
+class TestRasterMatchesPerCellForm:
+    @settings(max_examples=60, deadline=None)
+    @example(cells=[])
+    @example(cells=[""])
+    @example(cells=["", "eh", ""])
+    @example(cells=["e" * 111, "h"])  # wider than 110: fractional cell width
+    @example(cells=["ehaxz" * 25] * 57)  # taller than 50 rows: fractional row height
+    @given(cells=st.lists(st.text(alphabet="ehaxz", max_size=140), max_size=70))
+    def test_byte_identical(self, cells):
+        rows = [[FLAGS[c] for c in row] for row in cells]
+        assert_same_svg(render_raster(rows), per_cell_raster(rows))
+        assert_same_svg(render_raster(rows, "t<i>tle"), per_cell_raster(rows, "t<i>tle"))
+
+    def test_a_real_bundle_raster(self, run_dir):
+        raster = build_raster(load_transcripts(run_dir))
+        assert_same_svg(render_raster(raster.rows), per_cell_raster(raster.rows))
