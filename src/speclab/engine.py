@@ -177,7 +177,7 @@ class RoundRecord:
         kind = obj["replacement_kind"]
         if kind not in (BONUS, CORRECTION):
             raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
-        return cls(
+        r = cls(
             proposed_len=_number(int, obj["proposed_len"], "proposed_len"),
             accepted_len=_number(int, obj["accepted_len"], "accepted_len"),
             drafter_passes=_number(int, obj["drafter_passes"], "drafter_passes"),
@@ -188,6 +188,16 @@ class RoundRecord:
             draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
             verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
         )
+        if not (
+            0 <= r.accepted_len <= r.proposed_len == len(r.proposed_tokens) == len(r.confidences)
+            and r.drafter_passes >= 0
+        ):
+            raise IoError(
+                f"transcript is malformed: a round has accepted_len {r.accepted_len}, "
+                f"proposed_len {r.proposed_len}, {len(r.proposed_tokens)} proposed_tokens, "
+                f"{len(r.confidences)} confidences and drafter_passes {r.drafter_passes}"
+            )
+        return r
 
 
 # RoundRecord.to_dict and Transcript.to_dict at indent=1, keys in their order.

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,31 +203,117 @@ def train_ngram(
     context windows of length 0..order-1 that fit inside the document (windows
     never cross document boundaries). Pass ``vocabulary`` to train against a
     pre-built shared vocabulary (required when target and drafter must agree
-    on token ids but are trained on different text).
+    on token ids but are trained on different text). A document holding
+    ``<eos>`` itself is rejected on both paths.
+
+    The corpus is counted as one id array, one context length ``L`` at a
+    time. Sorting ``rank · |V| + next token`` over every position whose
+    length-``L`` context lies in its document, where ``rank`` is the dense id
+    of that context, groups equal length-``L + 1`` windows: a group's size is
+    its count, its lowest position its first occurrence, and its index the
+    rank of that window as a context at the next length. Levels stop when no
+    window fits in a document, so an ``order`` above the longest document
+    costs nothing. Python objects are then built once per distinct context,
+    in the order counting position by position inserts them: contexts by
+    first occurrence (the longer first at one position), bucket tokens by
+    first occurrence. Contexts whose ordered buckets are equal share one
+    bucket dict, so buckets are read-only.
     """
     if order < 1:
         raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
     if vocabulary is None:
         vocabulary = build_vocab(docs)
     eos = vocabulary.eos_id
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    total_tokens = 0
-    for doc in docs:
-        seq = vocabulary.encode(doc)
-        seq.append(eos)
-        total_tokens += len(seq) - 1
-        for j, tok in enumerate(seq):
-            lo = j - min(j, order - 1)
-            for start in range(lo, j + 1):
-                ctx = tuple(seq[start:j])
-                bucket = counts.get(ctx)
-                if bucket is None:
-                    bucket = {}
-                    counts[ctx] = bucket
-                bucket[tok] = bucket.get(tok, 0) + 1
-    if total_tokens == 0:
+    lengths = [len(doc) + 1 for doc in docs]
+    ids = np.fromiter(
+        chain.from_iterable(chain(vocabulary.encode(doc), (eos,)) for doc in docs),
+        dtype=np.int64,
+        count=sum(lengths),
+    )
+    if np.count_nonzero(ids == eos) != len(lengths):
+        raise ConfigError("corpus contains the reserved <eos> token")
+    if len(ids) == len(lengths):
         raise EmptyCorpus("corpus has no tokens")
+
+    ctx_first, ctx_len, ends, items = _count_windows(ids, lengths, order, len(vocabulary))
+    # Python objects once per distinct context and once per distinct bucket.
+    # Slice bounds come straight off the arrays: listing them first would
+    # allocate an int object per bound.
+    flat = tuple(items.tolist())
+    shared: dict[tuple[int, ...], dict[int, int]] = {}
+    buckets = [
+        shared.get(key) or shared.setdefault(key, dict(zip(key[0::2], key[1::2])))
+        for key in map(flat.__getitem__, map(slice, np.r_[0, ends[:-1]], ends))
+    ]
+    tokens = tuple(ids.tolist())
+    contexts = map(tokens.__getitem__, map(slice, ctx_first - ctx_len, ctx_first))
+    counts = dict(zip(contexts, buckets))
     return NGramModel(vocabulary, order, smoothing, counts)
+
+
+def _count_windows(
+    ids: np.ndarray, lengths: list[int], order: int, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Count the windows of the corpus ``ids``, documents of ``lengths``
+    tokens each, that lie in one document, one context length at a time, as
+    :func:`train_ngram` describes.
+
+    Returns the contexts in insertion order, as each one's first position
+    (where its next token lies) and its length, and its buckets as
+    ``items``: (token, count) pairs flattened, each bucket's tokens by first
+    position, bucket ``i`` ending at ``ends[i]``. Its temporaries are freed
+    before the Python objects are built.
+    """
+    n = len(ids)
+    doc_start = np.zeros(n + 1, dtype=bool)  # where a document starts, and at n
+    doc_start[np.cumsum([0] + lengths)] = True
+    # The positions j whose length-L context lies in their document, and the
+    # key rank * |V| + ids[j] of each one's window [j - L, j], where rank is
+    # the dense id of its context (every context is () at L = 0).
+    at, keys = np.arange(n), ids
+    # Per context length: each context's first position, length and bucket
+    # width, and its (token, count) groups by first position. Every sort key
+    # stays below n * max(n, |V|), which int64 holds for any corpus in memory.
+    levels: list[tuple[np.ndarray, ...]] = []
+    for length in range(order):
+        if not len(at):
+            break
+        perm = np.argsort(keys)
+        at = at[perm]
+        keys = keys[perm]
+        new = np.r_[True, keys[1:] != keys[:-1]]
+        heads = np.flatnonzero(new)
+        ctx, tok = np.divmod(keys[heads], size)
+        first = np.minimum.reduceat(at, heads)
+        runs = np.flatnonzero(np.r_[True, ctx[1:] != ctx[:-1]])
+        perm = np.argsort(ctx * n + first)  # within each context, by first position
+        levels.append((
+            np.minimum.reduceat(first, runs),
+            np.full(len(runs), length, dtype=np.int64),
+            np.diff(np.r_[runs, len(ctx)]),
+            tok[perm],
+            np.diff(np.r_[heads, len(at)])[perm],
+        ))
+        # Window [j - L, j] is the length-(L + 1) context of j + 1 when j + 1
+        # lies in the same document, and its group index is that context's id.
+        at += 1
+        keep = ~doc_start[at]
+        at = at[keep]
+        np.cumsum(new, out=keys)  # group index + 1, in the dead sorted keys' memory
+        keys -= 1
+        keys = keys[keep]
+        keys *= size
+        keys += ids[at]
+    ctx_first, ctx_len, widths, tok, cnt = (np.concatenate(a) for a in zip(*levels))
+    # All contexts by first position, the longer first, each bucket moved along.
+    by_first = np.argsort(ctx_first * len(levels) + (len(levels) - 1 - ctx_len))
+    old_start = (np.cumsum(widths) - widths)[by_first]
+    widths = widths[by_first]
+    ends = np.cumsum(widths)
+    gather = np.repeat(old_start - (ends - widths), widths) + np.arange(len(tok))
+    items = np.empty(2 * len(tok), dtype=np.int64)
+    items[0::2], items[1::2] = tok[gather], cnt[gather]
+    return ctx_first[by_first], ctx_len[by_first], 2 * ends, items
 
 
 def save_model(model: NGramModel, path: str | os.PathLike[str]) -> None:

@@ -259,6 +259,21 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
 
+    def test_eos_in_a_corpus_trained_against_a_model_vocabulary_fails(self, tmp_path, capsys):
+        # The target's model file fixes the vocabulary, which always holds
+        # <eos>; the whitespace tokenizer can read it from the corpus.
+        clean = tmp_path / "clean.txt"
+        clean.write_text(CORPUS, encoding="utf-8")
+        assert main(["train", str(clean), "--tokenizer", "whitespace", "--out", str(tmp_path)]) == 0
+        (tmp_path / "corpus.txt").write_text(CORPUS + "the cat <eos> sat on the mat\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, tokenizer="whitespace", target={"model_file": "clean.target.json"}
+        )
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: corpus contains the reserved <eos> token"]
+
     def test_output_dir_env_var_sets_the_default(self, tmp_path, monkeypatch):
         write_corpus(tmp_path)
         cfg = write_config(tmp_path)
@@ -408,3 +423,13 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "malformed" in err[0]
+
+    def test_impossible_round_fails_with_one_error_line(self, run_out, tmp_path, capsys):
+        t = json.loads((run_out / "transcript_0000.json").read_text(encoding="utf-8"))
+        t["rounds"][0].update(accepted_len=40, proposed_len=-3)
+        (tmp_path / "transcript_0000.json").write_text(json.dumps(t), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
+        assert not (tmp_path / "summary.csv").exists()

@@ -230,6 +230,14 @@ class TestTranscriptPersistence:
             with_top(output=[-1]),
             with_round(replacement_token=len(t.vocab)),
             with_round(proposed_tokens=[0, -1]),
+            # Each round must be one that verification could have produced.
+            with_round(accepted_len=40, proposed_len=-3),
+            with_round(accepted_len=-1),
+            with_round(accepted_len=t.rounds[0].proposed_len + 1),
+            with_round(proposed_len=t.rounds[0].proposed_len + 1),
+            with_round(proposed_tokens=t.rounds[0].proposed_tokens + [0]),
+            with_round(confidences=t.rounds[0].confidences[1:]),
+            with_round(drafter_passes=-1),
             with_top(rounds={}),
             [t.to_dict()],
             "text",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab.config import read_corpus
 from speclab.errors import (
     ConfigError,
     EmptyCorpus,
@@ -20,6 +22,7 @@ from speclab.errors import (
 from speclab.ngram import (
     EOS_TOKEN,
     NGramModel,
+    Vocabulary,
     argmax_token,
     build_vocab,
     load_model,
@@ -29,8 +32,40 @@ from speclab.ngram import (
 from speclab.tokenizers import detokenize, tokenize
 
 
+DATA = os.path.join(os.path.dirname(__file__), "..", "workloads", "data")
+
+
 def model_for(texts: list[str], order: int, smoothing: float = 0.0) -> NGramModel:
     return train_ngram([list(t) for t in texts], order=order, smoothing=smoothing)
+
+
+def loop_counts(docs, order, vocabulary=None):
+    """The reference trainer: every context window counted position by
+    position, in the insertion order the table must keep."""
+    if vocabulary is None:
+        vocabulary = build_vocab(docs)
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    total_tokens = 0
+    for doc in docs:
+        seq = vocabulary.encode(doc)
+        seq.append(vocabulary.eos_id)
+        total_tokens += len(seq) - 1
+        for j, tok in enumerate(seq):
+            for start in range(j - min(j, order - 1), j + 1):
+                bucket = counts.setdefault(tuple(seq[start:j]), {})
+                bucket[tok] = bucket.get(tok, 0) + 1
+    if total_tokens == 0:
+        raise EmptyCorpus("corpus has no tokens")
+    return NGramModel(vocabulary, order, 0.1, counts)
+
+
+def items(model: NGramModel) -> list:
+    return [(ctx, list(b.items())) for ctx, b in model.counts.items()]
+
+
+def saved(model: NGramModel, path) -> bytes:
+    save_model(model, path)
+    return path.read_bytes()
 
 
 class TestVocabulary:
@@ -193,6 +228,95 @@ class TestPersistence:
         payload["smoothing"] = 1
         file.write_text(json.dumps(payload))
         assert load_model(file).smoothing == 1.0
+
+
+WORDS = ["the", "cat", "sat", "a"]
+
+
+@st.composite
+def training_case(draw):
+    """Corpora with empty and one-token documents, char or whitespace
+    tokens, an order up to well past the longest document, and sometimes a
+    given vocabulary in any order, holding tokens the corpus never uses."""
+    if draw(st.booleans()):
+        texts = draw(st.lists(st.text(alphabet="abc", max_size=10), min_size=1, max_size=5))
+        docs = [tokenize(t, "char") for t in texts]
+    else:
+        texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=8), min_size=1, max_size=5))
+        docs = [tokenize(" ".join(t), "whitespace") for t in texts]
+    order = draw(st.integers(min_value=1, max_value=12))
+    vocabulary = None
+    if draw(st.booleans()):
+        used = sorted({tok for doc in docs for tok in doc})
+        unused = draw(st.lists(st.sampled_from(["x", "y", "zz"]), unique=True, max_size=3))
+        tokens = draw(st.permutations(used + unused)) if used + unused else []
+        if tokens:
+            vocabulary = Vocabulary(tuple(tokens) + (EOS_TOKEN,))
+    return docs, order, vocabulary
+
+
+class TestTrainingOracle:
+    """The trainer equals counting position by position, in content and in
+    insertion order, so saved models and everything read from them match."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_case())
+    def test_equals_the_position_loop(self, tmp_path_factory, case):
+        docs, order, vocabulary = case
+        try:
+            expected = loop_counts(docs, order, vocabulary)
+        except EmptyCorpus:
+            with pytest.raises(EmptyCorpus):
+                train_ngram(docs, order, vocabulary=vocabulary)
+            return
+        model = train_ngram(docs, order, vocabulary=vocabulary)
+        assert items(model) == items(expected)
+        out = tmp_path_factory.mktemp("oracle")
+        assert saved(model, out / "model.json") == saved(expected, out / "expected.json")
+
+    @pytest.mark.parametrize("name", ["mixed", "high_entropy", "periodic"])
+    def test_shipped_corpora_at_order_5(self, name):
+        # save_model writes the items in order, so equal items and vocabulary
+        # are equal files; writing them here would double the test's time.
+        docs = [tokenize(d, "char") for d in read_corpus(os.path.join(DATA, f"{name}.txt"))]
+        model, expected = train_ngram(docs, 5), loop_counts(docs, 5)
+        assert model.vocabulary == expected.vocabulary
+        assert items(model) == items(expected)
+
+    def test_all_empty_corpus_with_a_vocabulary_raises_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            train_ngram([[], []], 3, vocabulary=Vocabulary(("a", EOS_TOKEN)))
+
+    @pytest.mark.parametrize("with_vocabulary", [False, True])
+    def test_eos_inside_a_document_is_rejected(self, with_vocabulary):
+        vocabulary = Vocabulary(("a", "b", "c", EOS_TOKEN)) if with_vocabulary else None
+        with pytest.raises(ConfigError, match="corpus contains the reserved <eos> token"):
+            train_ngram([["a", "b", EOS_TOKEN, "c"], ["a", "c"]], 3, vocabulary=vocabulary)
+
+
+class TestSharedBuckets:
+    @staticmethod
+    def assert_equal_buckets_are_one_object(model: NGramModel) -> None:
+        buckets = list(model.counts.values())
+        assert len({id(b) for b in buckets}) == len({tuple(b.items()) for b in buckets})
+
+    def test_equal_ordered_buckets_are_one_object(self, mixed_lab, iid_lab):
+        for lab in (mixed_lab, iid_lab):
+            self.assert_equal_buckets_are_one_object(lab.target)
+            self.assert_equal_buckets_are_one_object(lab.drafter.backbone)
+            target_counts = lab.target.counts
+            for ctx, bucket in lab.drafter.backbone.counts.items():
+                assert target_counts[ctx] is bucket
+
+    def test_same_tokens_in_another_order_are_not_shared(self):
+        # After a: b then c; after d: c then b. One count each, so the two
+        # buckets hold the same items and differ only in their order.
+        model = model_for(["abacdcdb"], order=2)
+        a, b, c, d = model.vocabulary.encode("abcd")
+        assert list(model.counts[(a,)].items()) == [(b, 1), (c, 1)]
+        assert list(model.counts[(d,)].items()) == [(c, 1), (b, 1)]
+        self.assert_equal_buckets_are_one_object(model)
+        assert items(model) == items(loop_counts([list("abacdcdb")], 2))
 
 
 @st.composite
