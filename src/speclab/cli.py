@@ -8,7 +8,6 @@ validation problem, 2 environmental or internal failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -17,8 +16,7 @@ from .config import load_config, materialize
 from .engine import SweepCase, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
-from .report import REPORT_SCHEMA_VERSION, SUMMARY_COLUMNS, render_report, summary_row
-from .report import write_summary_csv
+from .report import SUMMARY_COLUMNS, render_report, summary_row, write_summary_csv
 from .svg import render_curves
 from .theory import DRAFTER_AR, DRAFTER_BLOCK, best_gamma, speedup_curve
 from .tokenizers import tokenize
@@ -120,26 +118,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_theory(args: argparse.Namespace) -> int:
     gammas = list(range(1, args.gamma_max + 1))
+    columns = ("alpha", "drafter", "gamma", "speedup", "best")
+    rows, series = [], []
+    for alpha in args.alpha:
+        for kind in (DRAFTER_AR, DRAFTER_BLOCK):
+            curve = speedup_curve(alpha, gammas, args.cost_ratio, kind, args.block_size)
+            star, peak = best_gamma(alpha, gammas, args.cost_ratio, kind, args.block_size)
+            for g, s in zip(gammas, curve):
+                values = (alpha, kind, g, f"{s:.6f}", "*" if g == star else "")
+                rows.append(dict(zip(columns, map(str, values))))
+            series.append((f"{kind} a={alpha}", [(float(g), s) for g, s in zip(gammas, curve)]))
+            print(f"alpha={alpha} {kind}: best gamma={star} speedup={peak:.4f}")
     out = args.out or _default_out("theory")
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "theory.csv")
-    series = []
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema_version={REPORT_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "drafter", "gamma", "speedup", "best"])
-        for alpha in args.alpha:
-            for kind in (DRAFTER_AR, DRAFTER_BLOCK):
-                curve = speedup_curve(alpha, gammas, args.cost_ratio, kind, args.block_size)
-                star, peak = best_gamma(alpha, gammas, args.cost_ratio, kind, args.block_size)
-                for g, s in zip(gammas, curve):
-                    writer.writerow(
-                        [alpha, kind, g, f"{s:.6f}", "*" if g == star else ""]
-                    )
-                series.append((f"{kind} a={alpha}", [(float(g), s) for g, s in zip(gammas, curve)]))
-                print(f"alpha={alpha} {kind}: best gamma={star} speedup={peak:.4f}")
-    svg_path = os.path.join(out, "theory.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    write_summary_csv(csv_path, rows, columns)
+    with open(os.path.join(out, "theory.svg"), "w", encoding="utf-8") as fh:
         fh.write(render_curves(series, "speculation length", "speedup", "theoretical speedup"))
     print(f"theory -> {csv_path}")
     return EXIT_OK

@@ -219,52 +219,52 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     """Expand grids into the ``(case, prompts)`` pairs ``engine.run_workload`` runs.
 
     Relative paths are resolved against ``base_dir`` (the config file's own
-    directory, for the CLI). Each corpus is read and tokenized once, and
-    trained models are order-limited views of one count table, so an
-    18-point draft-length sweep trains once; cells share equal models.
-    Cells with equal drafter settings also share one ``DiffusionDrafter``
-    and with it its block cache: a block depends only on the mode and the
-    backbone window of its prefix, and passes are deterministic, so a warm
-    drafter drafts exactly as a fresh one would.
+    directory, for the CLI). Every cell is checked, and every file it names
+    read, before any training. Then each count table (one per corpus,
+    tokenizer and vocabulary source) is trained once, at the highest order
+    any cell asks of it; trained models are order-limited views of it, and
+    cells share equal models. Cells with equal drafter settings share one
+    ``DiffusionDrafter`` and its block cache: a block depends only on the mode
+    and the backbone window of its prefix, and passes are deterministic.
     """
     validate_schema(config)
-    runs: list[ResolvedRun] = []
-    corpus_cache: dict[str, list[str]] = {}
-    tokens_cache: dict[tuple[str, str], list[list[str]]] = {}
-    tables: dict[tuple[str, str, str | None], NGramModel] = {}
-    models: dict[object, NGramModel] = {}  # files by path, views by (table key, order, smoothing)
-    drafters: dict[tuple[NGramModel, int, float], DiffusionDrafter] = {}
-    prompt_cache: dict[tuple, list[list[int]]] = {}
+    texts: dict[object, list[str]] = {}  # corpus and prompt files by path, samples by spec
+    files: dict[str, NGramModel] = {}  # model files by path
+    orders: dict[tuple[str, str, str | None], int] = {}  # highest order asked of each table
+    cells = []
 
-    def model(spec: dict, table_key: tuple) -> NGramModel:
-        """The model file ``spec`` names, or its view of the table at ``table_key``."""
+    def model_key(spec: dict, table_key: tuple) -> tuple[object, float]:
+        """``spec``'s model key (its file's path, or its view of ``table_key``) and smoothing."""
         if "model_file" in spec:
-            key = os.path.join(base_dir, str(spec["model_file"]))
-            if key not in models:
-                models[key] = load_model(key)
-        else:
-            order = _as(int, spec["order"], "order")
-            smoothing = _as(float, spec.get("smoothing", 0.1), "smoothing")
-            key = (table_key, order, smoothing)
-            if key not in models:
-                models[key] = tables[table_key].with_order(order, smoothing)
-        return models[key]
+            path = os.path.join(base_dir, str(spec["model_file"]))
+            if path not in files:
+                files[path] = load_model(path)
+            return path, files[path].smoothing
+        order = _as(int, spec["order"], "order", at_least=1)
+        smoothing = _as(float, spec.get("smoothing", 0.1), "smoothing", at_least=0)
+        orders[table_key] = max(order, orders.get(table_key, 0))
+        return (table_key, order, smoothing), smoothing
 
     for resolved, assignment in expand_grid(config):
         corpus_path = os.path.join(base_dir, str(resolved["train_corpus"]))
-        if corpus_path not in corpus_cache:
-            corpus_cache[corpus_path] = read_corpus(corpus_path)
-        docs = corpus_cache[corpus_path]
+        if corpus_path not in texts:
+            texts[corpus_path] = read_corpus(corpus_path)
         tok_kind = str(resolved.get("tokenizer", "char"))
         if tok_kind not in TOKENIZER_KINDS:
             raise ConfigError(f"unknown tokenizer kind: {tok_kind!r}")
         if not isinstance(resolved.get("output_dir", ""), str):
             raise ConfigError(f"output_dir must be a string, got {resolved['output_dir']!r}")
-        # Every value that needs no model is checked before any training.
+        verifier = str(resolved.get("verifier", "greedy"))
+        if verifier not in VERIFIER_KINDS:
+            raise ConfigError(f"unknown verifier kind: {verifier!r}")
         policy = parse_policy(resolved["policy"])
-        seed = _as(int, resolved.get("seed", 0), "seed", at_least=0)
-        max_tokens = _as(int, resolved.get("max_tokens", 256), "max_tokens", at_least=1)
-        cost = CostModel(**resolved.get("cost", {}))
+        fields = dict(
+            policy=policy,
+            seed=_as(int, resolved.get("seed", 0), "seed", at_least=0),
+            max_tokens=_as(int, resolved.get("max_tokens", 256), "max_tokens", at_least=1),
+            cost=CostModel(**resolved.get("cost", {})),
+            verifier=verifier,
+        )
 
         target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
@@ -273,81 +273,64 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             float, drafter_spec.pop("unmask_threshold", 0.9), "drafter unmask_threshold"
         )
         check_settings(block_size, unmask_threshold)
-        # One table per corpus, tokenizer and vocabulary source (the target's
-        # model file, else the corpus), trained at the highest order yet asked.
-        vocab_source = str(target_spec["model_file"]) if "model_file" in target_spec else None
+        vocab_file = target_spec.get("model_file")  # the target's file, else the corpus
+        vocab_source = None if vocab_file is None else os.path.join(base_dir, str(vocab_file))
         table_key = (corpus_path, tok_kind, vocab_source)
-        orders = [_as(int, s["order"], "order") for s in (target_spec, drafter_spec) if "order" in s]
-        if orders and (table_key not in tables or tables[table_key].order < max(orders)):
-            if (corpus_path, tok_kind) not in tokens_cache:
-                tokens_cache[corpus_path, tok_kind] = [tokenize(d, tok_kind) for d in docs]
-            vocabulary = None if vocab_source is None else model(target_spec, table_key).vocabulary
-            tables[table_key] = train_ngram(
-                tokens_cache[corpus_path, tok_kind], order=max(orders), vocabulary=vocabulary
-            )
-        target = model(target_spec, table_key)
-        backbone = model(drafter_spec, table_key)
-        drafter_key = (backbone, block_size, unmask_threshold)
-        if drafter_key not in drafters:
-            drafters[drafter_key] = DiffusionDrafter(*drafter_key)
-        drafter = drafters[drafter_key]
-
-        verifier = str(resolved.get("verifier", "greedy"))
-        if verifier not in VERIFIER_KINDS:
-            raise ConfigError(f"unknown verifier kind: {verifier!r}")
-        if verifier == VERIFIER_STOCHASTIC and backbone.smoothing == 0:
+        target_key, _ = model_key(target_spec, table_key)
+        backbone_key, drafter_smoothing = model_key(drafter_spec, table_key)
+        if verifier == VERIFIER_STOCHASTIC and drafter_smoothing == 0:
             raise ConfigError(
                 "stochastic verification with an unsmoothed drafter risks "
                 "zero draft probabilities; set drafter smoothing > 0"
             )
 
         if "prompt_file" in resolved:
-            prompt_path = os.path.join(base_dir, str(resolved["prompt_file"]))
-            cache_key = (prompt_path, tok_kind, target.vocabulary)
-            if cache_key not in prompt_cache:
-                prompt_cache[cache_key] = [
-                    target.vocabulary.encode(tokenize(line, tok_kind))
-                    for line in read_corpus(prompt_path)
-                ]
-            prompts = prompt_cache[cache_key]
+            source: object = os.path.join(base_dir, str(resolved["prompt_file"]))
+            if source not in texts:
+                texts[source] = read_corpus(source)
         else:
             spec = resolved["prompt_sample"]
-            _require_keys(spec, _SAMPLE_KEYS, "prompt_sample")
             if "count" not in spec:
                 raise ConfigError("prompt_sample needs 'count'")
-            texts = sample_prompts(
-                docs,
+            source = (
+                corpus_path,
                 _as(int, spec["count"], "prompt_sample count", at_least=1),
-                length=_as(int, spec.get("length", 12), "prompt_sample length", at_least=1),
-                seed=_as(int, spec.get("seed", 0), "prompt_sample seed", at_least=0),
+                _as(int, spec.get("length", 12), "prompt_sample length", at_least=1),
+                _as(int, spec.get("seed", 0), "prompt_sample seed", at_least=0),
             )
-            prompts = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts]
+            if source not in texts:
+                texts[source] = sample_prompts(texts[corpus_path], *source[1:])
 
         dataset = os.path.splitext(os.path.basename(corpus_path))[0]
-        base_label = str(resolved.get("label", dataset))
         suffix = ",".join(f"{k}={v}" for k, v in assignment.items())
-        label = f"{base_label}|{policy.label()}" + (f"|{suffix}" if suffix else "")
+        label = f"{resolved.get('label', dataset)}|{policy.label()}" + (f"|{suffix}" if suffix else "")
+        # expand_grid gave this cell its own copy, so it becomes the snapshot.
+        resolved.update(label=label, dataset=dataset, policy_label=policy.label(), tokenizer=tok_kind)
+        fields.update(label=label, config_snapshot=resolved)
+        cells.append((fields, target_key, (backbone_key, block_size, unmask_threshold), source, tok_kind))
 
-        snapshot = copy.deepcopy(resolved)
-        snapshot["label"] = label
-        snapshot["dataset"] = dataset
-        snapshot["policy_label"] = policy.label()
-        snapshot["tokenizer"] = tok_kind
-
-        runs.append(
-            ResolvedRun(
-                SweepCase(
-                    label=label,
-                    target=target,
-                    drafter=drafter,
-                    policy=policy,
-                    cost=cost,
-                    verifier=verifier,
-                    max_tokens=max_tokens,
-                    seed=seed,
-                    config_snapshot=snapshot,
-                ),
-                prompts,
-            )
-        )
+    tables = {}
+    for key, order in orders.items():
+        corpus_path, tok_kind, vocab_source = key
+        vocabulary = None if vocab_source is None else files[vocab_source].vocabulary
+        docs = [tokenize(d, tok_kind) for d in texts[corpus_path]]
+        tables[key] = train_ngram(docs, order, vocabulary=vocabulary)
+    models: dict[object, NGramModel] = dict(files)  # and views by (table key, order, smoothing)
+    drafters: dict[tuple[NGramModel, int, float], DiffusionDrafter] = {}
+    prompts: dict[tuple, list[list[int]]] = {}
+    runs: list[ResolvedRun] = []
+    for fields, target_key, (backbone_key, *settings), source, tok_kind in cells:
+        for key in (target_key, backbone_key):
+            if key not in models:
+                table_key, order, smoothing = key
+                models[key] = tables[table_key].with_order(order, smoothing)
+        target = models[target_key]
+        drafter_key = (models[backbone_key], *settings)
+        if drafter_key not in drafters:
+            drafters[drafter_key] = DiffusionDrafter(*drafter_key)
+        prompt_key = (source, tok_kind, target.vocabulary)
+        if prompt_key not in prompts:
+            prompts[prompt_key] = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts[source]]
+        case = SweepCase(target=target, drafter=drafters[drafter_key], **fields)
+        runs.append(ResolvedRun(case, prompts[prompt_key]))
     return runs

@@ -214,9 +214,9 @@ def check_settings(block_size: int, unmask_threshold: float) -> None:
 class DiffusionDrafter:
     """The drafting side of the loop: a backbone plus block decoding settings.
 
-    Decoded blocks are cached per (mode, backbone window of the prefix): a
-    block reads its prefix only through the backbone, and passes are
-    deterministic, so equal windows decode equal blocks.
+    Decoded blocks are cached per (mode, backbone window of the prefix) and
+    decoded from that window alone; passes are deterministic, so equal
+    windows decode equal blocks.
     """
 
     backbone: NGramModel
@@ -234,14 +234,15 @@ class DiffusionDrafter:
         cache miss: one one-step pass, or denoise passes until unmasked.
         Both are looked up as module globals, so a profiler that replaces
         them here counts every pass decoded."""
-        key = (mode, self.backbone.window(prefix))
+        window = self.backbone.window(prefix)
+        key = (mode, window)
         cached = self._blocks.get(key)
         if cached is not None:
             return cached
         if mode == ONE_STEP:
-            block = one_step_block(self.backbone, prefix, self.block_size)
+            block = one_step_block(self.backbone, list(window), self.block_size)
         elif mode == CONFIDENCE_AWARE:
-            state = BlockState(list(prefix), self.block_size)
+            state = BlockState(list(window), self.block_size)
             runs = []
             while not state.all_unmasked:
                 denoise_step(self.backbone, state, self.unmask_threshold)

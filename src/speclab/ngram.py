@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -119,10 +120,11 @@ class NGramModel:
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._top_cache: dict[tuple[int, ...], tuple[int, float]] = {}
 
-    @property
+    @cached_property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
         """Context -> token -> count for contexts shorter than ``order``, as
-        training at ``order`` builds it (a copy; treat buckets as read-only)."""
+        training at ``order`` builds it (built on first read and kept; treat
+        it as read-only)."""
         return {ctx: bucket for ctx, bucket in self._counts.items() if len(ctx) < self.order}
 
     def with_order(self, order: int, smoothing: float) -> NGramModel:

@@ -378,6 +378,12 @@ class TestTheory:
         assert (out / "theory.svg").exists()
         assert capsys.readouterr().out.count("best gamma=") == 4
 
+    @pytest.mark.parametrize("flags", [["--alpha", "0.8", "1.0"], ["--gamma-max", "0"]])
+    def test_invalid_input_writes_no_csv(self, tmp_path, flags):
+        out = tmp_path / "theory"
+        assert main(["theory", *flags, "--out", str(out)]) == 1
+        assert not (out / "theory.csv").exists()
+
 
 class TestReport:
     def test_rebuild_from_transcripts(self, tmp_path):

@@ -21,6 +21,12 @@ from speclab.errors import ConfigError, EmptyCorpus, IoError
 from speclab.policies import FailFast, FixedAR, FixedDLLM
 
 
+def episodes(run):
+    """The transcripts ``run`` gives, without the config snapshot."""
+    transcripts = run_workload(run.case, run.prompts)
+    return [{k: v for k, v in t.to_dict().items() if k != "config"} for t in transcripts]
+
+
 def base_config(**overrides):
     cfg = {
         "label": "unit",
@@ -272,11 +278,18 @@ class TestOneTablePerCorpus:
         assert train_calls == [3]
         assert (runs[0].case.target.order, runs[0].case.drafter.backbone.order) == (3, 2)
 
-    def test_a_higher_order_later_in_the_grid_retrains_once(self, workdir, train_calls):
+    def test_a_grid_of_orders_trains_once_at_the_highest(self, workdir, train_calls):
         materialize(base_config(target={"order": [3, 4, 3], "smoothing": 0.1}), str(workdir))
-        assert train_calls == [3, 4]
+        assert train_calls == [4]
         materialize(base_config(target={"order": [4, 3], "smoothing": 0.1}), str(workdir))
-        assert train_calls == [3, 4, 4]
+        assert train_calls == [4, 4]
+
+    def test_each_cell_of_an_order_grid_drafts_as_if_materialized_alone(self, workdir):
+        grid = materialize(base_config(target={"order": [3, 4, 3], "smoothing": 0.1}), str(workdir))
+        for run, order in zip(grid, [3, 4, 3]):
+            cell = base_config(target={"order": order, "smoothing": 0.1})
+            (alone,) = materialize(cell, str(workdir))
+            assert episodes(run) == episodes(alone)
 
     def test_a_bad_draft_mode_fails_before_training(self, workdir, train_calls):
         cfg = base_config(policy={"kind": "fixed_dllm", "draft_len": 4, "mode": "bogus"})
@@ -296,11 +309,22 @@ class TestOneTablePerCorpus:
             ({"drafter": {"order": 2, "smoothing": 0.1, "block_size": 0}}, "block size"),
             ({"drafter": {"order": 2, "smoothing": 0.1, "unmask_threshold": 0}}, "unmask threshold"),
             ({"cost": {"draft_pass_cost": -1}}, "pass costs"),
+            ({"verifier": "quorum"}, "verifier kind"),
+            ({"verifier": "stochastic", "drafter": {"order": 2, "smoothing": 0.0}}, "unsmoothed"),
+            ({"prompt_sample": {"count": 0}}, "prompt_sample count"),
+            ({"prompt_sample": {"length": 4}}, "needs 'count'"),
+            # read_corpus's IoError (exit 2), not a ConfigError
+            ({"prompt_sample": None, "prompt_file": "absent.txt"}, "cannot read corpus"),
+            # a bad value in a later grid cell fails before the first cell trains
+            ({"seed": [0, -1]}, "seed"),
+            ({"policy": {"kind": "fixed_ar", "draft_len": [3, 0]}}, "draft length"),
+            ({"verifier": ["greedy", "quorum"]}, "verifier kind"),
         ],
     )
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):
-        with pytest.raises(ConfigError, match=match):
-            materialize(base_config(**override), str(workdir))
+        cfg = {k: v for k, v in base_config(**override).items() if v is not None}
+        with pytest.raises((ConfigError, IoError), match=match):
+            materialize(cfg, str(workdir))
         assert train_calls == []
 
     def test_trained_target_and_its_model_file_give_the_same_transcripts(self, workdir):
@@ -311,12 +335,5 @@ class TestOneTablePerCorpus:
         from_file = base_config(
             verifier=["greedy", "stochastic"], target={"model_file": "models/corpus.target.json"}
         )
-
-        def episodes(cfg):
-            out = []
-            for run in materialize(cfg, str(workdir)):
-                for t in run_workload(run.case, run.prompts):
-                    out.append({k: v for k, v in t.to_dict().items() if k != "config"})
-            return out
-
-        assert episodes(from_file) == episodes(trained)
+        runs = zip(materialize(from_file, str(workdir)), materialize(trained, str(workdir)))
+        assert all(episodes(a) == episodes(b) for a, b in runs)

@@ -375,6 +375,13 @@ class TestOrderViews:
         with pytest.raises(InvalidOrder):
             view.with_order(3, 0.1)
 
+    def test_counts_are_built_once_per_model(self):
+        model = model_for(["abcab"], order=3)
+        view = model.with_order(2, 0.5)
+        assert model.counts is model.counts
+        assert view.counts is view.counts
+        assert view.counts == {ctx: b for ctx, b in model.counts.items() if len(ctx) < 2}
+
 
 class TestDistributionProperties:
     @settings(max_examples=150, deadline=None)
