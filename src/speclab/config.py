@@ -219,13 +219,15 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     """Expand grids into the ``(case, prompts)`` pairs ``engine.run_workload`` runs.
 
     Relative paths are resolved against ``base_dir`` (the config file's own
-    directory, for the CLI). Every cell is checked, and every file it names
-    read, before any training. Then each count table (one per corpus,
-    tokenizer and vocabulary source) is trained once, at the highest order
-    any cell asks of it; trained models are order-limited views of it, and
-    cells share equal models. Cells with equal drafter settings share one
-    ``DiffusionDrafter`` and its block cache: a block depends only on the mode
-    and the backbone window of its prefix, and passes are deterministic.
+    directory, for the CLI). Every cell's settings are checked, and every file
+    it names read, before any training; what needs the tokens (a corpus
+    holding ``<eos>``, a prompt token outside the target's vocabulary) fails
+    later. Each count table (one per corpus, tokenizer and vocabulary source)
+    is trained once, at the highest order any cell asks of it; trained models
+    are order-limited views of it, and cells share equal models. Cells with
+    equal drafter settings share one ``DiffusionDrafter`` and its block cache:
+    a block depends only on the mode and the backbone window of its prefix,
+    and passes are deterministic.
     """
     validate_schema(config)
     texts: dict[object, list[str]] = {}  # corpus and prompt files by path, samples by spec

@@ -335,5 +335,6 @@ class TestOneTablePerCorpus:
         from_file = base_config(
             verifier=["greedy", "stochastic"], target={"model_file": "models/corpus.target.json"}
         )
-        runs = zip(materialize(from_file, str(workdir)), materialize(trained, str(workdir)))
-        assert all(episodes(a) == episodes(b) for a, b in runs)
+        assert [episodes(r) for r in materialize(from_file, str(workdir))] == [
+            episodes(r) for r in materialize(trained, str(workdir))
+        ]
