@@ -18,7 +18,7 @@ from .corpora import sample_prompts
 from .drafter import DiffusionDrafter, check_settings
 from .engine import CostModel, SweepCase, VERIFIER_KINDS, VERIFIER_STOCHASTIC
 from .errors import ConfigError, EmptyCorpus, IoError
-from .ngram import NGramModel, load_model, train_ngram
+from .ngram import NGramModel, Vocabulary, load_model, train_ngram
 from .policies import FailFast, FailFastConfig, FixedAR, FixedDLLM, Policy
 from .tokenizers import TOKENIZER_KINDS, tokenize
 
@@ -220,11 +220,13 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
 
     Relative paths are resolved against ``base_dir`` (the config file's own
     directory, for the CLI). Every cell's settings are checked, and every file
-    it names read, before any training; what needs the tokens (a corpus
-    holding ``<eos>``, a prompt token outside the target's vocabulary) fails
-    later. Each count table (one per corpus, tokenizer and vocabulary source)
-    is trained once, at the highest order any cell asks of it; trained models
-    are order-limited views of it, and cells share equal models. Cells with
+    it names read, before any training; so are the prompts of a cell whose
+    target is a ``model_file``, encoded with that file's vocabulary. What
+    needs a trained vocabulary (a corpus holding ``<eos>``, a prompt token
+    outside a trained target's vocabulary) fails later. Each count table
+    (one per corpus, tokenizer and vocabulary source) is trained once, at the
+    highest order any cell asks of it; trained models are order-limited
+    views of it, and cells share equal models. Cells with
     equal drafter settings share one ``DiffusionDrafter`` and its block cache:
     a block depends only on the mode and the backbone window of its prefix,
     and passes are deterministic.
@@ -233,7 +235,14 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     texts: dict[object, list[str]] = {}  # corpus and prompt files by path, samples by spec
     files: dict[str, NGramModel] = {}  # model files by path
     orders: dict[tuple[str, str, str | None], int] = {}  # highest order asked of each table
+    prompts: dict[tuple, list[list[int]]] = {}  # by (source, tokenizer, vocabulary)
     cells = []
+
+    def encoded(source: object, tok_kind: str, vocabulary: Vocabulary) -> list[list[int]]:
+        key = (source, tok_kind, vocabulary)
+        if key not in prompts:
+            prompts[key] = [vocabulary.encode(tokenize(t, tok_kind)) for t in texts[source]]
+        return prompts[key]
 
     def model_key(spec: dict, table_key: tuple) -> tuple[object, float]:
         """``spec``'s model key (its file's path, or its view of ``table_key``) and smoothing."""
@@ -302,6 +311,8 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             )
             if source not in texts:
                 texts[source] = sample_prompts(texts[corpus_path], *source[1:])
+        if vocab_source is not None:
+            encoded(source, tok_kind, files[vocab_source].vocabulary)
 
         dataset = os.path.splitext(os.path.basename(corpus_path))[0]
         suffix = ",".join(f"{k}={v}" for k, v in assignment.items())
@@ -319,7 +330,6 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         tables[key] = train_ngram(docs, order, vocabulary=vocabulary)
     models: dict[object, NGramModel] = dict(files)  # and views by (table key, order, smoothing)
     drafters: dict[tuple[NGramModel, int, float], DiffusionDrafter] = {}
-    prompts: dict[tuple, list[list[int]]] = {}
     runs: list[ResolvedRun] = []
     for fields, target_key, (backbone_key, *settings), source, tok_kind in cells:
         for key in (target_key, backbone_key):
@@ -330,9 +340,6 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         drafter_key = (models[backbone_key], *settings)
         if drafter_key not in drafters:
             drafters[drafter_key] = DiffusionDrafter(*drafter_key)
-        prompt_key = (source, tok_kind, target.vocabulary)
-        if prompt_key not in prompts:
-            prompts[prompt_key] = [target.vocabulary.encode(tokenize(t, tok_kind)) for t in texts[source]]
         case = SweepCase(target=target, drafter=drafters[drafter_key], **fields)
-        runs.append(ResolvedRun(case, prompts[prompt_key]))
+        runs.append(ResolvedRun(case, encoded(source, tok_kind, target.vocabulary)))
     return runs

@@ -14,7 +14,8 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Sequence
 
 from .drafter import DiffusionDrafter, DraftProposal
@@ -121,7 +122,56 @@ def _list_of(kind: type, values: object, name: str) -> list:
     raise IoError(f"transcript is malformed: {name} must be a list of {kind.__name__}")
 
 
-# The C encoder, for scalars ``_scalar`` does not write itself: strings
+def _column(kind: type, values: list, name: str) -> list:
+    """One field of every round, each item checked as ``_number`` checks it."""
+    if set(map(type, values)) <= {kind}:
+        return values
+    return [_number(kind, v, name) for v in values]
+
+
+def _list_column(kind: type, lists: list, name: str) -> list:
+    """One list field of every round, each list checked as ``_list_of`` checks it."""
+    if set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {kind}:
+        return lists
+    return [_list_of(kind, v, name) for v in lists]
+
+
+# Text <-> value memos shared by every transcript in the process. A long draft
+# writes one confidence per token, but a run holds few distinct confidences,
+# and most of them recur across transcripts, so a memo per transcript would
+# miss about half the time. Each stops growing at the cap.
+_MEMO_CAP = 1 << 14
+
+
+class _FloatText(dict):
+    """float -> its JSON text, for exact floats only. Zeros and non-finite
+    values are formatted and not stored: ``0.0 == -0.0`` and a NaN matches
+    nothing, so neither can be a key that maps back to one text."""
+
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            return _encode_scalar(value)
+        text = float.__repr__(value)
+        if value and len(self) < _MEMO_CAP:
+            self[value] = text
+        return text
+
+
+class _TextFloat(dict):
+    """JSON number text -> float, so equal numbers load as one object."""
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if len(self) < _MEMO_CAP:
+            self[text] = value
+        return value
+
+
+_FLOAT_TEXT = _FloatText()
+_TEXT_FLOAT = _TextFloat()
+_DECODER = json.JSONDecoder(parse_float=_TEXT_FLOAT.__getitem__)
+
+# The C encoder, for scalars the fast paths do not write themselves: strings
 # (ASCII-escaped), bools, None, non-finite floats and float subclasses such
 # as ``np.float64``. It raises TypeError on what json.dumps rejects.
 _encode_scalar = json.JSONEncoder().encode
@@ -132,9 +182,19 @@ def _scalar(value) -> str:
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
+    if kind is float:
+        return _FLOAT_TEXT[value]
     return _encode_scalar(value)
+
+
+def _texts(values: list) -> list[str]:
+    """Each scalar of ``values`` as ``json.dumps`` writes it."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {float}:
+        return list(map(_FLOAT_TEXT.__getitem__, values))
+    return list(map(_scalar, values))
 
 
 def _flat_list(values: Sequence, pad: str) -> str:
@@ -142,7 +202,7 @@ def _flat_list(values: Sequence, pad: str) -> str:
     ``pad`` is a newline plus the items' indentation."""
     if not values:
         return "[]"
-    return "[" + pad + ("," + pad).join(map(_scalar, values)) + pad[:-1] + "]"
+    return "[" + pad + ("," + pad).join(_texts(values)) + pad[:-1] + "]"
 
 
 @dataclass(frozen=True)
@@ -172,32 +232,56 @@ class RoundRecord:
             "verify_latency": self.verify_latency,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RoundRecord":
-        kind = obj["replacement_kind"]
-        if kind not in (BONUS, CORRECTION):
-            raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
-        r = cls(
-            proposed_len=_number(int, obj["proposed_len"], "proposed_len"),
-            accepted_len=_number(int, obj["accepted_len"], "accepted_len"),
-            drafter_passes=_number(int, obj["drafter_passes"], "drafter_passes"),
-            replacement_kind=kind,
-            proposed_tokens=_list_of(int, obj["proposed_tokens"], "proposed_tokens"),
-            replacement_token=_number(int, obj["replacement_token"], "replacement_token"),
-            confidences=_list_of(float, obj["confidences"], "confidences"),
-            draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
-            verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
-        )
-        if not (
-            0 <= r.accepted_len <= r.proposed_len == len(r.proposed_tokens) == len(r.confidences)
-            and r.drafter_passes >= 0
-        ):
+
+_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+_ROUND_LISTS = ("proposed_tokens", "confidences")
+
+
+def _round_columns(rounds: list) -> dict[str, list]:
+    """The loaded round objects as one checked column per ``RoundRecord``
+    field, in field order: each value has its field's type and each round
+    is one that verification could have produced."""
+    columns = {name: [r[name] for r in rounds] for name in _ROUND_FIELDS}
+    kinds = columns["replacement_kind"]
+    if kinds.count(BONUS) + kinds.count(CORRECTION) != len(kinds):
+        kind = next(k for k in kinds if k not in (BONUS, CORRECTION))
+        raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
+    for name in ("proposed_len", "accepted_len", "drafter_passes"):
+        columns[name] = _column(int, columns[name], name)
+    columns["proposed_tokens"] = _list_column(int, columns["proposed_tokens"], "proposed_tokens")
+    columns["replacement_token"] = _column(int, columns["replacement_token"], "replacement_token")
+    columns["confidences"] = _list_column(float, columns["confidences"], "confidences")
+    for name in ("draft_latency", "verify_latency"):
+        columns[name] = _column(float, columns[name], name)
+    for accepted, proposed, tokens, confidences, passes in zip(
+        columns["accepted_len"], columns["proposed_len"], columns["proposed_tokens"],
+        columns["confidences"], columns["drafter_passes"],
+    ):
+        if not (0 <= accepted <= proposed == len(tokens) == len(confidences) and passes >= 0):
             raise IoError(
-                f"transcript is malformed: a round has accepted_len {r.accepted_len}, "
-                f"proposed_len {r.proposed_len}, {len(r.proposed_tokens)} proposed_tokens, "
-                f"{len(r.confidences)} confidences and drafter_passes {r.drafter_passes}"
+                f"transcript is malformed: a round has accepted_len {accepted}, "
+                f"proposed_len {proposed}, {len(tokens)} proposed_tokens, "
+                f"{len(confidences)} confidences and drafter_passes {passes}"
             )
-        return r
+    return columns
+
+
+def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None:
+    """``output`` must be what the rounds commit, each ``proposed_tokens[:accepted_len]
+    + [replacement_token]``, cut at the first ``<eos>``; or a prefix of that
+    which ends inside the last round, where ``max_tokens`` cut it."""
+    commits: list[int] = []
+    for tokens, accepted, replacement in zip(
+        columns["proposed_tokens"], columns["accepted_len"], columns["replacement_token"]
+    ):
+        before_last = len(commits)
+        commits += tokens[:accepted]
+        commits.append(replacement)
+    if eos in commits:
+        del commits[commits.index(eos):]
+    n = len(output)
+    if output != commits[:n] or not (n == len(commits) or n > before_last):
+        raise IoError("transcript is malformed: output is not what the rounds commit")
 
 
 # RoundRecord.to_dict and Transcript.to_dict at indent=1, keys in their order.
@@ -278,12 +362,13 @@ class Transcript:
         try:
             if type(obj["config"]) is not dict:
                 raise IoError(f"transcript is malformed: config must be an object, got {obj['config']!r}")
+            columns = _round_columns(_list_of(dict, obj["rounds"], "rounds"))
             t = cls(
                 config=obj["config"],
                 seed=_list_of(int, obj["seed"], "seed"),
                 prompt=_list_of(int, obj["prompt"], "prompt"),
                 vocab=_list_of(str, obj["vocab"], "vocab"),
-                rounds=[RoundRecord.from_dict(r) for r in _list_of(dict, obj["rounds"], "rounds")],
+                rounds=[RoundRecord(*r) for r in zip(*columns.values())],
                 output=_list_of(int, obj["output"], "output"),
                 draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
                 verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
@@ -293,10 +378,12 @@ class Transcript:
             )
         except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
-        ids = [t.prompt, t.output, [r.replacement_token for r in t.rounds]]
-        ids += [r.proposed_tokens for r in t.rounds]
+        proposed = list(chain.from_iterable(columns["proposed_tokens"]))
+        ids = (t.prompt, t.output, columns["replacement_token"], proposed)
         if not all(0 <= min(x) and max(x) < len(t.vocab) for x in ids if x):
             raise IoError("transcript is malformed: a token id lies outside the vocabulary")
+        if t.rounds:
+            _check_output(t.output, columns, eos=len(t.vocab) - 1)
         return t
 
     def to_json(self) -> str:
@@ -306,21 +393,17 @@ class Transcript:
         dict, because ``indent`` forces CPython's pure-Python encoder.
         ``config`` is free-form and still goes through ``json.dumps``;
         every other field holds the schema's scalars or flat lists of them.
+        Round fields are formatted a column at a time, so a column of one
+        exact type takes one fast path, and floats come from a memo.
         """
-        rounds = ",\n".join([
-            _ROUND_JSON % (
-                _scalar(r.proposed_len),
-                _scalar(r.accepted_len),
-                _scalar(r.drafter_passes),
-                _scalar(r.replacement_kind),
-                _flat_list(r.proposed_tokens, "\n    "),
-                _scalar(r.replacement_token),
-                _flat_list(r.confidences, "\n    "),
-                _scalar(r.draft_latency),
-                _scalar(r.verify_latency),
-            )
-            for r in self.rounds
-        ])
+        columns = []
+        for name in _ROUND_FIELDS:
+            values = [getattr(r, name) for r in self.rounds]
+            if name in _ROUND_LISTS:
+                columns.append([_flat_list(v, "\n    ") for v in values])
+            else:
+                columns.append(_texts(values))
+        rounds = ",\n".join([_ROUND_JSON % row for row in zip(*columns)])
         return _TRANSCRIPT_JSON % (
             _scalar(self.schema_version),
             json.dumps(self.config, indent=1).replace("\n", "\n "),
@@ -338,7 +421,9 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        return cls.from_dict(json.loads(text))
+        """Parse ``text``; equal float texts share one float object across
+        every transcript loaded in the process."""
+        return cls.from_dict(_DECODER.decode(text))
 
     def save(self, path: str | os.PathLike[str]) -> None:
         text = self.to_json()  # first, so a value JSON rejects leaves no file

@@ -8,6 +8,7 @@ plotting library.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 SVG_SCHEMA_VERSION = 1
@@ -59,7 +60,7 @@ class _Canvas:
         )
 
     def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        return "\n".join(self.parts + ["</svg>", ""])
 
 
 def _escape(text: str) -> str:
@@ -74,8 +75,10 @@ def render_raster(rows: Sequence[Sequence[str]], title: str = "easy/hard raster"
 
     The output is byte-identical to one ``_Canvas.rect`` per cell. A cell's
     x depends only on its column and its y only on its row, so each column's
-    ``<rect x=".." y="`` prefix, each row's y and each color's tail are
-    formatted once, and a cell is their concatenation.
+    ``<rect x=".." y="`` prefix is formatted once, and each row's y joined
+    with each color's tail once per row. A row is one string of its cells,
+    so the document is never held as one string per cell; an empty row adds
+    no line.
     """
     width = max((len(r) for r in rows), default=0)
     cell = max(1.0, min(8.0, 880.0 / max(1, width)))
@@ -86,11 +89,13 @@ def render_raster(rows: Sequence[Sequence[str]], title: str = "easy/hard raster"
     canvas.text(ox, 24, "green=easy red=hard grey=absent", size=8)
     columns = [f'<rect x="{_fmt(ox + j * cell)}" y="' for j in range(width)]
     size = f'" width="{_fmt(cell)}" height="{_fmt(row_h)}" fill="'
-    tails = {"easy": f'{size}{EASY_COLOR}"/>', "hard": f'{size}{HARD_COLOR}"/>'}
-    absent = f'{size}{ABSENT_COLOR}"/>'
+    colors = {"easy": EASY_COLOR, "hard": HARD_COLOR}
     for i, row in enumerate(rows):
-        y = _fmt(oy + i * row_h)
-        canvas.parts.extend([x + y + tails.get(flag, absent) for x, flag in zip(columns, row)])
+        if row:
+            y = _fmt(oy + i * row_h) + size
+            tails = {flag: f'{y}{color}"/>' for flag, color in colors.items()}
+            absent = f'{y}{ABSENT_COLOR}"/>'
+            canvas.parts.append("\n".join(map(str.__add__, columns, map(tails.get, row, repeat(absent)))))
     return canvas.render()
 
 

@@ -42,7 +42,7 @@ def write_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}, indent=1), encoding="utf-8")
     return path
 
 
@@ -266,8 +266,11 @@ class TestRun:
         clean.write_text(CORPUS, encoding="utf-8")
         assert main(["train", str(clean), "--tokenizer", "whitespace", "--out", str(tmp_path)]) == 0
         (tmp_path / "corpus.txt").write_text(CORPUS + "the cat <eos> sat on the mat\n", encoding="utf-8")
+        # Prompts sampled from this corpus would hold fragments such as "<eo",
+        # which fail as unknown tokens before training; these prompts are clean.
         cfg = write_config(
-            tmp_path, tokenizer="whitespace", target={"model_file": "clean.target.json"}
+            tmp_path, tokenizer="whitespace", target={"model_file": "clean.target.json"},
+            prompt_sample=None, prompt_file="clean.txt",
         )
         capsys.readouterr()
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1

@@ -17,7 +17,7 @@ from speclab.config import (
     validate_schema,
 )
 from speclab.engine import run_workload
-from speclab.errors import ConfigError, EmptyCorpus, IoError
+from speclab.errors import ConfigError, EmptyCorpus, IoError, UnknownToken
 from speclab.policies import FailFast, FixedAR, FixedDLLM
 
 
@@ -324,6 +324,16 @@ class TestOneTablePerCorpus:
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):
         cfg = {k: v for k, v in base_config(**override).items() if v is not None}
         with pytest.raises((ConfigError, IoError), match=match):
+            materialize(cfg, str(workdir))
+        assert train_calls == []
+
+    def test_a_prompt_outside_a_model_files_vocabulary_fails_before_training(self, workdir, train_calls):
+        corpus = str(workdir / "corpus.txt")
+        assert main(["train", corpus, "--order", "3", "--out", str(workdir / "models")]) == 0
+        (workdir / "prompts.txt").write_text("the cat\nthe zebra\n", encoding="utf-8")
+        cfg = base_config(prompt_file="prompts.txt", target={"model_file": "models/corpus.target.json"})
+        del cfg["prompt_sample"]
+        with pytest.raises(UnknownToken, match="'z'"):
             materialize(cfg, str(workdir))
         assert train_calls == []
 

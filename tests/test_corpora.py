@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from speclab.corpora import (
@@ -113,3 +117,19 @@ class TestSamplePrompts:
     def test_returns_raw_text_not_ids(self):
         prompts = sample_prompts(["hello world"], 3, length=5, seed=0)
         assert all(isinstance(p, str) for p in prompts)
+
+
+class TestShippedData:
+    def test_make_corpora_reproduces_every_shipped_file(self, tmp_path, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+        spec = importlib.util.spec_from_file_location("make_corpora", root / "scripts" / "make_corpora.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "DATA_DIR", str(tmp_path))
+        script.main()
+        shipped = sorted(p.name for p in (root / "workloads" / "data").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+        assert len(shipped) == 8
+        for name in shipped:
+            assert (tmp_path / name).read_bytes() == (root / "workloads" / "data" / name).read_bytes(), name

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import engine
 from speclab.drafter import ONE_STEP, DiffusionDrafter
 from speclab.engine import (
     CostModel,
@@ -184,6 +185,14 @@ class TestTranscriptPersistence:
         with pytest.raises(SchemaVersionMismatch):
             Transcript.from_dict(stale)
 
+    def test_compact_json_loads_like_the_indented_file(self, mixed_lab, tmp_path):
+        prompt = mixed_lab.prompts(1, seed=34)[0]
+        t = run_episode(mixed_lab.target, mixed_lab.drafter, FailFast(), CostModel(), prompt, 40)
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(t.to_dict()), encoding="utf-8")
+        t.save(tmp_path / "indented.json")
+        assert Transcript.load(compact) == Transcript.load(tmp_path / "indented.json") == t
+
     def test_unreadable_and_corrupt_files(self, tmp_path):
         with pytest.raises(IoError):
             Transcript.load(tmp_path / "missing.json")
@@ -197,6 +206,7 @@ class TestTranscriptPersistence:
         t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
         no_rounds = t.to_dict()
         del no_rounds["rounds"]
+        commits = [x for r in t.rounds for x in r.proposed_tokens[: r.accepted_len] + [r.replacement_token]]
 
         def with_round(**fields):
             payload = json.loads(t.to_json())
@@ -238,6 +248,9 @@ class TestTranscriptPersistence:
             with_round(proposed_tokens=t.rounds[0].proposed_tokens + [0]),
             with_round(confidences=t.rounds[0].confidences[1:]),
             with_round(drafter_passes=-1),
+            # The output must be what the rounds commit.
+            with_top(output=[0 if t.output[0] else 1] + t.output[1:]),
+            with_top(output=commits + [commits[0]]),
             with_top(rounds={}),
             [t.to_dict()],
             "text",
@@ -315,6 +328,27 @@ class TestTranscriptJson:
         for rounds in ([], [empty], [empty, empty]):
             t = Transcript({}, [], [], [], rounds, [], 0.0, 0.0, 0.0, 0.0, 1.0)
             assert t.to_json() == json.dumps(t.to_dict(), indent=1)
+
+    def test_the_float_memo_keeps_equal_values_of_other_texts_apart(self):
+        # Each list is written after the one it could be confused with.
+        nan, inf = float("nan"), float("inf")
+        lists = [
+            [0.0], [-0.0], [0.0, -0.0], [1.0], [1], [True], [0.5], [np.float64(0.5)],
+            [nan, nan], [inf, -inf], [0.5, 1, True, -0.0, np.float64(0.25), nan],
+        ]
+        for values in lists:
+            record = RoundRecord(1, 1, 1, "bonus", [3], 1, values, values[0], values[-1])
+            t = Transcript({}, [], [], [], [record, record], values, values[0], 0.0, 0.0, 0.0, 1.0)
+            assert t.to_json() == json.dumps(t.to_dict(), indent=1), values
+
+    def test_the_float_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "_FLOAT_TEXT", engine._FloatText())
+        values = [i / 7 for i in range(1, engine._MEMO_CAP + 100)]
+        record = RoundRecord(len(values), 0, 1, "correction", [0] * len(values), 1, values, 0.05, 1.0)
+        t = Transcript({}, [], [], [], [record], [1], 0.05, 1.0, 1.05, 1.0, 0.95)
+        for _ in range(2):
+            assert t.to_json() == json.dumps(t.to_dict(), indent=1)
+            assert len(engine._FLOAT_TEXT) == engine._MEMO_CAP
 
     @pytest.mark.parametrize(
         "change",

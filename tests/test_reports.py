@@ -83,6 +83,12 @@ class TestLoadTranscripts:
         labels = [t.config["label"] for t in transcripts]
         assert labels == ["block8"] * 3 + ["ar4"] * 3
 
+    def test_equal_confidences_load_as_one_object(self, run_dir):
+        confidences = [c for t in load_transcripts(run_dir) for r in t.rounds for c in r.confidences]
+        first: dict[float, float] = {}
+        assert all(first.setdefault(c, c) is c for c in confidences)
+        assert len(first) < len(confidences)
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(MissingTranscripts):
             load_transcripts(tmp_path)
