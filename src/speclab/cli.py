@@ -8,6 +8,7 @@ validation problem, 2 environmental or internal failure.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import re
 import sys
@@ -49,9 +50,14 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
 
 
 def _save_transcripts(transcripts, out_dir: str) -> None:
+    """Save ``transcript_NNNN.json`` files and remove the other ``transcript_*.json``
+    files in ``out_dir``, so a report on it reads this run's transcripts only."""
     os.makedirs(out_dir, exist_ok=True)
-    for i, t in enumerate(transcripts):
-        t.save(os.path.join(out_dir, f"transcript_{i:04d}.json"))
+    names = [f"transcript_{i:04d}.json" for i in range(len(transcripts))]
+    for name, t in zip(names, transcripts):
+        t.save(os.path.join(out_dir, name))
+    for name in set(fnmatch.filter(os.listdir(out_dir), "transcript_*.json")) - set(names):
+        os.remove(os.path.join(out_dir, name))
 
 
 def cmd_train(args: argparse.Namespace) -> int:

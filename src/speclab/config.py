@@ -12,15 +12,16 @@ import copy
 import itertools
 import json
 import os
+from dataclasses import MISSING, fields
 from typing import NamedTuple
 
 from .corpora import sample_prompts
 from .drafter import DiffusionDrafter, check_settings
 from .engine import CostModel, SweepCase, VERIFIER_KINDS, VERIFIER_STOCHASTIC
-from .errors import ConfigError, EmptyCorpus, IoError
+from .errors import ConfigError, EmptyCorpus, IoError, check_number
 from .ngram import NGramModel, Vocabulary, load_model, train_ngram
 from .policies import FailFast, FailFastConfig, FixedAR, FixedDLLM, Policy
-from .tokenizers import TOKENIZER_KINDS, tokenize
+from .tokenizers import TOKENIZER_KINDS, detokenize, tokenize
 
 _Scalar = (str, int, float, bool, type(None))
 
@@ -42,18 +43,14 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"order", "smoothing", "model_file"}
 _DRAFTER_KEYS = _MODEL_KEYS | {"block_size", "unmask_threshold"}
 _SAMPLE_KEYS = {"count", "length", "seed"}
-_POLICY_KEYS = {
-    "fixed_ar": {"kind", "draft_len"},
-    "fixed_dllm": {"kind", "draft_len", "mode"},
-    "fail_fast": {"kind", "step_size", "confidence_threshold", "max_length"},
+# Each policy kind's settings are the fields of the class that takes them
+# (``fail_fast``'s are wrapped in ``FailFast``); the class defaults and checks them.
+_POLICY_CLASSES = {"fixed_ar": FixedAR, "fixed_dllm": FixedDLLM, "fail_fast": FailFastConfig}
+_POLICY_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in _POLICY_CLASSES.items()}
+_POLICY_REQUIRED = {
+    kind: [f.name for f in fields(cls) if f.default is MISSING] for kind, cls in _POLICY_CLASSES.items()
 }
-_COST_KEYS = {
-    "draft_pass_cost",
-    "verify_round_cost",
-    "verify_token_cutoff",
-    "verify_excess_cost",
-    "decode_pass_cost",
-}
+_COST_KEYS = {f.name for f in fields(CostModel)}
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -87,7 +84,7 @@ def validate_schema(obj: dict) -> None:
     kinds = policy["kind"] if isinstance(policy["kind"], list) else [policy["kind"]]
     allowed: set[str] = {"kind"}
     for kind in kinds:
-        if kind not in _POLICY_KEYS:
+        if not isinstance(kind, str) or kind not in _POLICY_KEYS:
             raise ConfigError(f"unknown policy kind: {kind!r}")
         allowed |= _POLICY_KEYS[kind]
     _require_keys(policy, allowed, "policy")
@@ -168,40 +165,17 @@ def read_corpus(path: str) -> list[str]:
     return docs
 
 
-def _as(kind: type, value: object, where: str, at_least: int | None = None):
-    """``value`` as ``kind``, no less than ``at_least`` when given; an int takes
-    a JSON integer only, a float any JSON number."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    if at_least is not None and value < at_least:
-        raise ConfigError(f"{where} must be >= {at_least}, got {value!r}")
-    return kind(value)
-
-
 def parse_policy(obj: dict) -> Policy:
+    """The policy ``obj`` describes. Only the keys that are its kind's settings
+    are read, since a grid over ``kind`` allows the keys of every kind in it."""
     kind = obj["kind"]
-    if kind == "fixed_ar":
-        if "draft_len" not in obj:
-            raise ConfigError("fixed_ar policy needs draft_len")
-        return FixedAR(_as(int, obj["draft_len"], "policy draft_len"))
-    if kind == "fixed_dllm":
-        if "draft_len" not in obj:
-            raise ConfigError("fixed_dllm policy needs draft_len")
-        return FixedDLLM(
-            _as(int, obj["draft_len"], "policy draft_len"),
-            obj.get("mode", "confidence_aware"),
-        )
-    if kind == "fail_fast":
-        return FailFast(
-            FailFastConfig(
-                step_size=_as(int, obj.get("step_size", 10), "policy step_size"),
-                confidence_threshold=_as(
-                    float, obj.get("confidence_threshold", 0.45), "policy confidence_threshold"
-                ),
-                max_length=_as(int, obj.get("max_length", 60), "policy max_length"),
-            )
-        )
-    raise ConfigError(f"unknown policy kind: {kind!r}")
+    if kind not in _POLICY_CLASSES:
+        raise ConfigError(f"unknown policy kind: {kind!r}")
+    for name in _POLICY_REQUIRED[kind]:
+        if name not in obj:
+            raise ConfigError(f"{kind} policy needs {name}")
+    policy = _POLICY_CLASSES[kind](**{k: v for k, v in obj.items() if k in _POLICY_KEYS[kind]})
+    return FailFast(policy) if kind == "fail_fast" else policy
 
 
 class ResolvedRun(NamedTuple):
@@ -233,6 +207,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
     """
     validate_schema(config)
     texts: dict[object, list[str]] = {}  # corpus and prompt files by path, samples by spec
+    documents: dict[tuple[str, str], list[list[str]]] = {}  # tokenized corpora by (path, tokenizer)
     files: dict[str, NGramModel] = {}  # model files by path
     orders: dict[tuple[str, str, str | None], int] = {}  # highest order asked of each table
     prompts: dict[tuple, list[list[int]]] = {}  # by (source, tokenizer, vocabulary)
@@ -244,6 +219,12 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             prompts[key] = [vocabulary.encode(tokenize(t, tok_kind)) for t in texts[source]]
         return prompts[key]
 
+    def tokenized(corpus_path: str, tok_kind: str) -> list[list[str]]:
+        key = (corpus_path, tok_kind)
+        if key not in documents:
+            documents[key] = [tokenize(d, tok_kind) for d in texts[corpus_path]]
+        return documents[key]
+
     def model_key(spec: dict, table_key: tuple) -> tuple[object, float]:
         """``spec``'s model key (its file's path, or its view of ``table_key``) and smoothing."""
         if "model_file" in spec:
@@ -251,8 +232,8 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             if path not in files:
                 files[path] = load_model(path)
             return path, files[path].smoothing
-        order = _as(int, spec["order"], "order", at_least=1)
-        smoothing = _as(float, spec.get("smoothing", 0.1), "smoothing", at_least=0)
+        order = check_number(spec["order"], int, "order", at_least=1)
+        smoothing = check_number(spec.get("smoothing", 0.1), float, "smoothing", at_least=0)
         orders[table_key] = max(order, orders.get(table_key, 0))
         return (table_key, order, smoothing), smoothing
 
@@ -265,24 +246,24 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
             raise ConfigError(f"unknown tokenizer kind: {tok_kind!r}")
         if not isinstance(resolved.get("output_dir", ""), str):
             raise ConfigError(f"output_dir must be a string, got {resolved['output_dir']!r}")
-        verifier = str(resolved.get("verifier", "greedy"))
+        verifier = str(resolved.get("verifier", SweepCase.verifier))
         if verifier not in VERIFIER_KINDS:
             raise ConfigError(f"unknown verifier kind: {verifier!r}")
         policy = parse_policy(resolved["policy"])
-        fields = dict(
+        case_args = dict(
             policy=policy,
-            seed=_as(int, resolved.get("seed", 0), "seed", at_least=0),
-            max_tokens=_as(int, resolved.get("max_tokens", 256), "max_tokens", at_least=1),
+            seed=check_number(resolved.get("seed", SweepCase.seed), int, "seed", at_least=0),
+            max_tokens=check_number(
+                resolved.get("max_tokens", SweepCase.max_tokens), int, "max_tokens", at_least=1
+            ),
             cost=CostModel(**resolved.get("cost", {})),
             verifier=verifier,
         )
 
         target_spec = resolved["target"]
         drafter_spec = dict(resolved["drafter"])
-        block_size = _as(int, drafter_spec.pop("block_size", 8), "drafter block_size")
-        unmask_threshold = _as(
-            float, drafter_spec.pop("unmask_threshold", 0.9), "drafter unmask_threshold"
-        )
+        block_size = drafter_spec.pop("block_size", DiffusionDrafter.block_size)
+        unmask_threshold = drafter_spec.pop("unmask_threshold", DiffusionDrafter.unmask_threshold)
         check_settings(block_size, unmask_threshold)
         vocab_file = target_spec.get("model_file")  # the target's file, else the corpus
         vocab_source = None if vocab_file is None else os.path.join(base_dir, str(vocab_file))
@@ -305,12 +286,14 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
                 raise ConfigError("prompt_sample needs 'count'")
             source = (
                 corpus_path,
-                _as(int, spec["count"], "prompt_sample count", at_least=1),
-                _as(int, spec.get("length", 12), "prompt_sample length", at_least=1),
-                _as(int, spec.get("seed", 0), "prompt_sample seed", at_least=0),
+                tok_kind,
+                check_number(spec["count"], int, "prompt_sample count", at_least=1),
+                check_number(spec.get("length", 12), int, "prompt_sample length", at_least=1),
+                check_number(spec.get("seed", 0), int, "prompt_sample seed", at_least=0),
             )
             if source not in texts:
-                texts[source] = sample_prompts(texts[corpus_path], *source[1:])
+                windows = sample_prompts(tokenized(corpus_path, tok_kind), *source[2:])
+                texts[source] = [detokenize(w, tok_kind) for w in windows]
         if vocab_source is not None:
             encoded(source, tok_kind, files[vocab_source].vocabulary)
 
@@ -319,19 +302,18 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         label = f"{resolved.get('label', dataset)}|{policy.label()}" + (f"|{suffix}" if suffix else "")
         # expand_grid gave this cell its own copy, so it becomes the snapshot.
         resolved.update(label=label, dataset=dataset, policy_label=policy.label(), tokenizer=tok_kind)
-        fields.update(label=label, config_snapshot=resolved)
-        cells.append((fields, target_key, (backbone_key, block_size, unmask_threshold), source, tok_kind))
+        case_args.update(label=label, config_snapshot=resolved)
+        cells.append((case_args, target_key, (backbone_key, block_size, unmask_threshold), source, tok_kind))
 
     tables = {}
     for key, order in orders.items():
         corpus_path, tok_kind, vocab_source = key
         vocabulary = None if vocab_source is None else files[vocab_source].vocabulary
-        docs = [tokenize(d, tok_kind) for d in texts[corpus_path]]
-        tables[key] = train_ngram(docs, order, vocabulary=vocabulary)
+        tables[key] = train_ngram(tokenized(corpus_path, tok_kind), order, vocabulary=vocabulary)
     models: dict[object, NGramModel] = dict(files)  # and views by (table key, order, smoothing)
     drafters: dict[tuple[NGramModel, int, float], DiffusionDrafter] = {}
     runs: list[ResolvedRun] = []
-    for fields, target_key, (backbone_key, *settings), source, tok_kind in cells:
+    for case_args, target_key, (backbone_key, *settings), source, tok_kind in cells:
         for key in (target_key, backbone_key):
             if key not in models:
                 table_key, order, smoothing = key
@@ -340,6 +322,6 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         drafter_key = (models[backbone_key], *settings)
         if drafter_key not in drafters:
             drafters[drafter_key] = DiffusionDrafter(*drafter_key)
-        case = SweepCase(target=target, drafter=drafters[drafter_key], **fields)
+        case = SweepCase(target=target, drafter=drafters[drafter_key], **case_args)
         runs.append(ResolvedRun(case, encoded(source, tok_kind, target.vocabulary)))
     return runs

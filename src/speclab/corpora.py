@@ -201,13 +201,14 @@ def iid_difficulty_corpus(
 
 
 def sample_prompts(
-    docs: list[str],
+    docs: list[str] | list[list[str]],
     count: int,
     length: int = 12,
     seed: int = 0,
     max_start: int | None = None,
-) -> list[str]:
-    """Seeded contiguous character windows drawn from the corpus documents."""
+) -> list:
+    """Seeded contiguous windows of ``length`` items drawn from the documents:
+    characters of text documents, tokens of token-list documents."""
     rng = np.random.default_rng(seed)
     prompts = []
     for _ in range(count):

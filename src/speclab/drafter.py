@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NoMaskedSlots
+from .errors import ConfigError, NoMaskedSlots, check_number
 from .ngram import _DIST_CACHE_CAP, NGramModel, argmax_token
 
 ONE_STEP = "one_step"
@@ -204,9 +204,8 @@ def fixed_step_block(backbone: NGramModel, prefix: list[int], block_size: int, s
 def check_settings(block_size: int, unmask_threshold: float) -> None:
     """Raise ``ConfigError`` unless a drafter can decode blocks with these
     settings; ``config.materialize`` calls it before training any model."""
-    if block_size < 1:
-        raise ConfigError(f"block size must be >= 1, got {block_size}")
-    if not 0.0 < unmask_threshold <= 1.0:
+    check_number(block_size, int, "block size", at_least=1)
+    if not 0.0 < check_number(unmask_threshold, float, "unmask threshold") <= 1.0:
         raise ConfigError(f"unmask threshold must be in (0, 1], got {unmask_threshold}")
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Sequence
 
 from .drafter import DiffusionDrafter, DraftProposal
-from .errors import ConfigError, EmptyWorkload, IoError, SchemaVersionMismatch, VocabularyMismatch
+from .errors import (
+    ConfigError, EmptyWorkload, IoError, SchemaVersionMismatch, VocabularyMismatch, check_number
+)
 from .ngram import NGramModel
 from .policies import Policy
 from .verifier import BONUS, CORRECTION, verify_greedy, verify_stochastic
@@ -56,21 +57,16 @@ class CostModel:
     decode_pass_cost: float | None = None
 
     def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
-            optional = name in ("verify_excess_cost", "decode_pass_cost")
-            whole = name == "verify_token_cutoff"
-            number = isinstance(value, numbers.Integral if whole else numbers.Real)
-            if not (number and not isinstance(value, bool) or (optional and value is None)):
-                noun = "an integer" if whole else "a number"
-                raise ConfigError(f"cost {name} must be {noun}, got {value!r}")
+        check_number(self.draft_pass_cost, float, "cost draft_pass_cost")
+        check_number(self.verify_round_cost, float, "cost verify_round_cost")
         if self.draft_pass_cost < 0 or self.verify_round_cost <= 0:
             raise ConfigError("pass costs must be positive")
-        if self.verify_token_cutoff < 1:
-            raise ConfigError(f"verify cutoff must be >= 1, got {self.verify_token_cutoff}")
-        if self.verify_excess_cost is not None and self.verify_excess_cost < 0:
-            raise ConfigError("excess cost must be >= 0")
-        if self.decode_pass_cost is not None and self.decode_pass_cost <= 0:
-            raise ConfigError("decode cost must be positive")
+        check_number(self.verify_token_cutoff, int, "cost verify_token_cutoff", at_least=1)
+        if self.verify_excess_cost is not None:
+            check_number(self.verify_excess_cost, float, "cost verify_excess_cost", at_least=0)
+        if self.decode_pass_cost is not None:
+            if check_number(self.decode_pass_cost, float, "cost decode_pass_cost") <= 0:
+                raise ConfigError("decode cost must be positive")
 
     @property
     def excess(self) -> float:

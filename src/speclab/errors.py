@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and ``check_number``, the
+one type check that every settings class and the config loader apply.
 
 Two families matter for the CLI exit-code contract: validation problems
 (bad config, bad inputs, bad hyperparameters) exit with code 1, while
@@ -6,6 +7,8 @@ environmental or internal failures exit with code 2.
 """
 
 from __future__ import annotations
+
+import numbers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,3 +77,15 @@ class MissingTranscripts(SpecLabError):
 
 class EmptyTranscript(SpecLabError):
     """Summary statistics were requested for a transcript with no rounds."""
+
+
+def check_number(value, kind: type, where: str, at_least: int | None = None):
+    """Return ``value`` unchanged if it is an integer (``kind`` int) or a real
+    number (``kind`` float), never a bool, no less than ``at_least`` when
+    given; otherwise raise ``ConfigError`` naming ``where``."""
+    whole = kind is int
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if whole else numbers.Real):
+        raise ConfigError(f"{where} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{where} must be >= {at_least}, got {value!r}")
+    return value

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .drafter import DRAFT_MODES, ONE_STEP, DiffusionDrafter, DraftProposal, modal_chain
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .ngram import argmax_token  # noqa: F401  (perfbench/spans.py wraps policies.argmax_token)
 
 
@@ -37,6 +37,9 @@ class FailFastConfig:
     max_length: int = 60
 
     def __post_init__(self) -> None:
+        check_number(self.step_size, int, "step_size")
+        check_number(self.confidence_threshold, float, "confidence_threshold")
+        check_number(self.max_length, int, "max_length")
         if not 1 <= self.step_size <= self.max_length:
             raise ConfigError(
                 f"need 1 <= step_size <= max_length, got {self.step_size} and {self.max_length}"
@@ -110,8 +113,7 @@ class FixedAR:
     draft_len: int
 
     def __post_init__(self) -> None:
-        if self.draft_len < 1:
-            raise ConfigError(f"draft length must be >= 1, got {self.draft_len}")
+        check_number(self.draft_len, int, "draft length", at_least=1)
 
     def propose(self, drafter: DiffusionDrafter, prefix: list[int]) -> DraftProposal:
         return propose_fixed_ar(drafter, prefix, self.draft_len)
@@ -128,8 +130,7 @@ class FixedDLLM:
     mode: str = "confidence_aware"
 
     def __post_init__(self) -> None:
-        if self.draft_len < 1:
-            raise ConfigError(f"draft length must be >= 1, got {self.draft_len}")
+        check_number(self.draft_len, int, "draft length", at_least=1)
         if self.mode not in DRAFT_MODES:
             raise ConfigError(f"unknown draft mode: {self.mode!r}")
 

@@ -60,15 +60,10 @@ def _group_label(t: Transcript) -> str:
 
 def _grouped(transcripts: list[Transcript]) -> list[tuple[str, list[Transcript]]]:
     """Group by config label, preserving first-seen order."""
-    order: list[str] = []
     groups: dict[str, list[Transcript]] = {}
     for t in transcripts:
-        label = _group_label(t)
-        if label not in groups:
-            order.append(label)
-            groups[label] = []
-        groups[label].append(t)
-    return [(label, groups[label]) for label in order]
+        groups.setdefault(_group_label(t), []).append(t)
+    return list(groups.items())
 
 
 def summary_row(label: str, group: list[Transcript], stats: SummaryStats | None = None) -> dict[str, str]:

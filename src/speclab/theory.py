@@ -17,36 +17,11 @@ what produces the sawtooth: the block-parallel curve drops exactly where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidAlpha, InvalidTheoryParams
 
 DRAFTER_AR = "ar"
 DRAFTER_BLOCK = "block_parallel"
-DRAFTER_KINDS = (DRAFTER_AR, DRAFTER_BLOCK)
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Inputs of the closed-form model; validates on construction."""
-
-    alpha: float
-    gamma: int
-    cost_ratio: float
-    drafter_kind: str = DRAFTER_AR
-    block_size: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidAlpha(f"acceptance rate must be in (0, 1), got {self.alpha}")
-        if self.gamma < 1:
-            raise InvalidTheoryParams(f"speculation length must be >= 1, got {self.gamma}")
-        if self.cost_ratio < 0.0:
-            raise InvalidTheoryParams(f"cost ratio must be >= 0, got {self.cost_ratio}")
-        if self.drafter_kind not in DRAFTER_KINDS:
-            raise InvalidTheoryParams(f"unknown drafter kind: {self.drafter_kind!r}")
-        if self.block_size < 1:
-            raise InvalidTheoryParams(f"block size must be >= 1, got {self.block_size}")
 
 
 def expected_tokens_per_round(alpha: float, gamma: int) -> float:
@@ -60,6 +35,8 @@ def expected_tokens_per_round(alpha: float, gamma: int) -> float:
 
 def drafter_passes(gamma: int, drafter_kind: str, block_size: int = 8) -> int:
     """Drafter passes per round: gamma for AR, ceil(gamma/block) for block-parallel."""
+    if block_size < 1:
+        raise InvalidTheoryParams(f"block size must be >= 1, got {block_size}")
     if drafter_kind == DRAFTER_AR:
         return gamma
     if drafter_kind == DRAFTER_BLOCK:
@@ -75,10 +52,10 @@ def theoretical_speedup(
     block_size: int = 8,
 ) -> float:
     """Expected tokens per round divided by expected round cost."""
-    params = TheoryParams(alpha, gamma, cost_ratio, drafter_kind, block_size)
-    tokens = expected_tokens_per_round(params.alpha, params.gamma)
-    cost = drafter_passes(params.gamma, params.drafter_kind, params.block_size) * params.cost_ratio + 1.0
-    return tokens / cost
+    tokens = expected_tokens_per_round(alpha, gamma)
+    if cost_ratio < 0.0:
+        raise InvalidTheoryParams(f"cost ratio must be >= 0, got {cost_ratio}")
+    return tokens / (drafter_passes(gamma, drafter_kind, block_size) * cost_ratio + 1.0)
 
 
 def speedup_curve(

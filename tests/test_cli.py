@@ -139,6 +139,22 @@ class TestRun:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_a_rerun_with_fewer_prompts_removes_the_stale_transcripts(self, tmp_path):
+        write_corpus(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        big = write_config(tmp_path, prompt_sample={"count": 5, "length": 8, "seed": 0})
+        assert main(["run", str(big), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        small = write_config(tmp_path, prompt_sample={"count": 2, "length": 8, "seed": 0})
+        assert main(["run", str(small), "--out", str(out)]) == 0
+        assert main(["run", str(small), "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in out.glob("transcript_*.json")) == [
+            "transcript_0000.json",
+            "transcript_0001.json",
+        ]
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+        assert (out / "summary.csv").read_bytes() == (fresh / "summary.csv").read_bytes()
+
     def test_flag_overrides_reach_the_episode(self, tmp_path):
         write_corpus(tmp_path)
         cfg = write_config(tmp_path)

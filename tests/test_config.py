@@ -16,7 +16,9 @@ from speclab.config import (
     read_corpus,
     validate_schema,
 )
-from speclab.engine import run_workload
+from speclab.corpora import sample_prompts
+from speclab.drafter import DiffusionDrafter
+from speclab.engine import SweepCase, run_workload
 from speclab.errors import ConfigError, EmptyCorpus, IoError, UnknownToken
 from speclab.policies import FailFast, FixedAR, FixedDLLM
 
@@ -84,6 +86,8 @@ class TestSchemaValidation:
     def test_unknown_policy_kind(self):
         with pytest.raises(ConfigError, match="policy kind"):
             validate_schema(base_config(policy={"kind": "adaptive_magic"}))
+        with pytest.raises(ConfigError, match="policy kind"):
+            validate_schema(base_config(policy={"kind": [{}]}))
 
     def test_exactly_one_prompt_source(self):
         cfg = base_config(prompt_file="p.txt")
@@ -182,8 +186,24 @@ class TestParsePolicy:
         assert ff.config.step_size == 10  # untouched defaults
 
     def test_missing_draft_len(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="fixed_ar policy needs draft_len"):
             parse_policy({"kind": "fixed_ar"})
+
+    @pytest.mark.parametrize(
+        "obj,policy",
+        [
+            ({"kind": "fixed_ar", "draft_len": 4}, FixedAR(4)),
+            ({"kind": "fixed_dllm", "draft_len": 4}, FixedDLLM(4)),
+            ({"kind": "fail_fast"}, FailFast()),
+        ],
+    )
+    def test_defaults_are_the_classes(self, obj, policy):
+        assert parse_policy(obj) == policy
+
+    def test_keys_of_other_kinds_are_ignored(self):
+        # A grid over kind allows every key of every kind in it.
+        obj = {"kind": "fixed_ar", "draft_len": 4, "mode": "one_step", "step_size": 5}
+        assert parse_policy(obj) == FixedAR(4)
 
 
 class TestMaterialize:
@@ -254,6 +274,37 @@ class TestMaterialize:
         with pytest.raises(ConfigError, match="tokenizer"):
             materialize(base_config(tokenizer="bpe"), str(workdir))
 
+    def test_unset_settings_take_the_class_defaults(self, workdir):
+        cfg = base_config()
+        del cfg["max_tokens"]
+        (run,) = materialize(cfg, str(workdir))
+        case = run.case
+        drafter = DiffusionDrafter(case.drafter.backbone)
+        assert (case.drafter.block_size, case.drafter.unmask_threshold) == (
+            drafter.block_size,
+            drafter.unmask_threshold,
+        )
+        defaults = SweepCase(case.label, case.target, case.drafter, case.policy)
+        assert (case.max_tokens, case.seed, case.cost, case.verifier) == (
+            defaults.max_tokens,
+            defaults.seed,
+            defaults.cost,
+            defaults.verifier,
+        )
+
+    def test_char_prompt_sample_is_a_window_of_characters(self, workdir):
+        (run,) = materialize(base_config(), str(workdir))
+        docs = read_corpus(str(workdir / "corpus.txt"))
+        vocab = run.case.target.vocabulary
+        assert run.prompts == [vocab.encode(p) for p in sample_prompts(docs, 2, 8, 0)]
+
+    def test_whitespace_prompt_sample_is_a_window_of_words(self, workdir):
+        cfg = base_config(tokenizer="whitespace", prompt_sample={"count": 4, "length": 3, "seed": 0})
+        (run,) = materialize(cfg, str(workdir))
+        vocab = run.case.target.vocabulary
+        docs = [d.split() for d in read_corpus(str(workdir / "corpus.txt"))]
+        assert run.prompts == [vocab.encode(w) for w in sample_prompts(docs, 4, 3, 0)]
+
     def test_shared_vocabulary_between_models(self, workdir):
         runs = materialize(base_config(), str(workdir))
         case = runs[0].case
@@ -319,6 +370,9 @@ class TestOneTablePerCorpus:
             ({"seed": [0, -1]}, "seed"),
             ({"policy": {"kind": "fixed_ar", "draft_len": [3, 0]}}, "draft length"),
             ({"verifier": ["greedy", "quorum"]}, "verifier kind"),
+            ({"drafter": {"order": 2, "smoothing": 0.1, "block_size": 2.5}}, "block size"),
+            ({"drafter": {"order": 2, "smoothing": 0.1, "unmask_threshold": "high"}}, "unmask threshold"),
+            ({"policy": {"kind": "fail_fast", "step_size": 2.5}}, "step_size"),
         ],
     )
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):

@@ -170,6 +170,25 @@ class TestPassAccounting:
             mixed_lab.drafter.draft_tokens([0], 4, "beam")
 
 
+class TestSettings:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"block_size": 0},
+            {"block_size": 2.5},
+            {"block_size": "8"},
+            {"block_size": True},
+            {"unmask_threshold": 0.0},
+            {"unmask_threshold": 1.5},
+            {"unmask_threshold": "0.9"},
+            {"unmask_threshold": None},
+        ],
+    )
+    def test_invalid_settings_rejected(self, bigram, kwargs):
+        with pytest.raises(ConfigError):
+            DiffusionDrafter(bigram, **kwargs)
+
+
 def reference_fixed_step(backbone, prefix, block_size, steps):
     """Fixed-step denoising written against a ``BlockState``, slot by slot:
     each pass unmasks its quota of leftmost slots from the bridged context."""

@@ -54,6 +54,9 @@ class TestFailFastConfig:
             {"confidence_threshold": 0.0},
             {"confidence_threshold": 1.0},
             {"confidence_threshold": -0.2},
+            {"step_size": 2.5},
+            {"confidence_threshold": "0.5"},
+            {"max_length": 60.0},
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -108,6 +111,11 @@ class TestPolicyObjects:
             FixedAR(0)
         with pytest.raises(ConfigError):
             FixedDLLM(-3)
+        for draft_len in ("3", 2.5, True):
+            with pytest.raises(ConfigError):
+                FixedAR(draft_len)
+            with pytest.raises(ConfigError):
+                FixedDLLM(draft_len)
 
     def test_fixed_ar_charges_one_pass_per_token(self, mixed_lab):
         prompt = mixed_lab.prompts(1, seed=21)[0]

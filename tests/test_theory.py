@@ -21,7 +21,6 @@ from speclab.errors import InvalidAlpha, InvalidTheoryParams
 from speclab.theory import (
     DRAFTER_AR,
     DRAFTER_BLOCK,
-    TheoryParams,
     best_gamma,
     drafter_passes,
     expected_tokens_per_round,
@@ -117,17 +116,19 @@ class TestValidation:
         with pytest.raises(InvalidAlpha):
             expected_tokens_per_round(alpha, 4)
         with pytest.raises(InvalidAlpha):
-            TheoryParams(alpha, 4, 0.05)
+            theoretical_speedup(alpha, 4, 0.05)
 
     def test_other_parameters(self):
         with pytest.raises(InvalidTheoryParams):
-            TheoryParams(0.8, 0, 0.05)
+            theoretical_speedup(0.8, 0, 0.05)
         with pytest.raises(InvalidTheoryParams):
-            TheoryParams(0.8, 4, -0.01)
+            theoretical_speedup(0.8, 4, -0.01)
         with pytest.raises(InvalidTheoryParams):
-            TheoryParams(0.8, 4, 0.05, drafter_kind="oracle")
+            theoretical_speedup(0.8, 4, 0.05, drafter_kind="oracle")
         with pytest.raises(InvalidTheoryParams):
-            TheoryParams(0.8, 4, 0.05, block_size=0)
+            theoretical_speedup(0.8, 4, 0.05, block_size=0)
+        with pytest.raises(InvalidTheoryParams):
+            drafter_passes(4, DRAFTER_BLOCK, 0)
 
 
 class TestModelProperties:
