@@ -44,6 +44,16 @@ class DraftProposal:
         if not (len(self.tokens) == len(self.confidences) == len(self.distributions)):
             raise ConfigError("proposal fields must have equal length")
 
+    def head(self, n: int) -> DraftProposal:
+        """The first ``n`` tokens with every pass still charged: a cut never
+        refunds the passes spent on what it cuts. Returns ``self`` when
+        nothing is cut."""
+        if n >= len(self.tokens):
+            return self
+        return DraftProposal(
+            self.tokens[:n], self.confidences[:n], self.distributions[:n], self.forward_passes
+        )
+
 
 @dataclass
 class BlockState:
@@ -254,11 +264,13 @@ class DiffusionDrafter:
         return block
 
     def draft_tokens(self, prefix: list[int], n: int, mode: str = CONFIDENCE_AWARE) -> DraftProposal:
-        """Draft ``n`` tokens by decoding consecutive blocks.
+        """Draft ``n`` tokens by decoding consecutive blocks: the package's one
+        walk over blocks and its one rule for charging passes.
 
         Each block is charged the passes its decoding needs until its leftmost
-        run covers the draft positions still missing (one in one-step mode);
-        exactly the first ``n`` tokens are returned but every pass spent is
+        run covers the draft positions still missing (one in one-step mode).
+        Only the last block can stop short of its end, so the walk takes whole
+        blocks and keeps the first ``n`` tokens, but every pass spent is
         charged, including passes that unmasked positions beyond ``n`` (in
         confidence-aware mode the unmasking order inside a block is
         confidence-ranked, so trailing blocks routinely cost passes for
@@ -266,16 +278,15 @@ class DiffusionDrafter:
         """
         if n < 1:
             raise ConfigError(f"draft length must be >= 1, got {n}")
+        context = list(self.backbone.window(prefix))  # all a block reads of the prefix
         tokens: list[int] = []
         confidences: list[float] = []
         distributions: list[np.ndarray] = []
         passes = 0
         while len(tokens) < n:
-            block = self.block(prefix + tokens, mode)
-            k = bisect_left(block.runs, min(n - len(tokens), self.block_size))
-            passes += k + 1
-            run = block.runs[k]
-            tokens += block.tokens[:run]
-            confidences += block.confidences[:run]
-            distributions += block.distributions[:run]
+            block = self.block(context + tokens, mode)
+            passes += bisect_left(block.runs, min(n - len(tokens), self.block_size)) + 1
+            tokens += block.tokens
+            confidences += block.confidences
+            distributions += block.distributions
         return DraftProposal(tokens[:n], confidences[:n], distributions[:n], passes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Sequence
 
-from .drafter import DiffusionDrafter, DraftProposal
+from .drafter import DiffusionDrafter
 from .errors import (
     ConfigError, EmptyWorkload, IoError, SchemaVersionMismatch, VocabularyMismatch, check_number
 )
@@ -87,15 +87,6 @@ class CostModel:
         """Cost of one verify round scoring ``scored_positions`` = L + 1 slots."""
         extra = max(0, scored_positions - self.verify_token_cutoff)
         return self.verify_round_cost + extra * self.excess
-
-    def to_dict(self) -> dict:
-        return {
-            "draft_pass_cost": self.draft_pass_cost,
-            "verify_round_cost": self.verify_round_cost,
-            "verify_token_cutoff": self.verify_token_cutoff,
-            "verify_excess_cost": self.verify_excess_cost,
-            "decode_pass_cost": self.decode_pass_cost,
-        }
 
 
 def _number(kind: type, value: object, name: str):
@@ -443,19 +434,6 @@ class Transcript:
             raise IoError(f"{path}: {exc}") from exc
 
 
-def _truncate_at_eos(proposal: DraftProposal, eos: int) -> DraftProposal:
-    """Cut a proposal just after its first ``<eos>``; passes stay charged."""
-    if eos not in proposal.tokens:
-        return proposal
-    stop = proposal.tokens.index(eos) + 1
-    return DraftProposal(
-        proposal.tokens[:stop],
-        proposal.confidences[:stop],
-        proposal.distributions[:stop],
-        proposal.forward_passes,
-    )
-
-
 def run_episode(
     target: NGramModel,
     drafter: DiffusionDrafter,
@@ -489,7 +467,9 @@ def run_episode(
     done = False
     while not done and len(output) < max_tokens:
         prefix = prompt + output
-        proposal = _truncate_at_eos(policy.propose(drafter, prefix), eos)
+        proposal = policy.propose(drafter, prefix)
+        if eos in proposal.tokens:
+            proposal = proposal.head(proposal.tokens.index(eos) + 1)
         if verifier == VERIFIER_GREEDY:
             result = verify_greedy(target, prefix, proposal)
         else:

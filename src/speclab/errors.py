@@ -8,6 +8,7 @@ environmental or internal failures exit with code 2.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 EXIT_OK = 0
@@ -80,12 +81,21 @@ class EmptyTranscript(SpecLabError):
 
 
 def check_number(value, kind: type, where: str, at_least: int | None = None):
-    """Return ``value`` unchanged if it is an integer (``kind`` int) or a real
-    number (``kind`` float), never a bool, no less than ``at_least`` when
-    given; otherwise raise ``ConfigError`` naming ``where``."""
+    """Return ``value`` unchanged if it is an integer (``kind`` int) or a
+    finite real number (``kind`` float), never a bool, no less than
+    ``at_least`` when given; otherwise raise ``ConfigError`` naming ``where``.
+    Python's ``json`` reads ``NaN``, ``Infinity`` and integers past the float
+    range, so a config can hold them."""
     whole = kind is int
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if whole else numbers.Real):
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    if not whole:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     if at_least is not None and value < at_least:
         raise ConfigError(f"{where} must be >= {at_least}, got {value!r}")
     return value

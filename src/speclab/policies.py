@@ -11,12 +11,10 @@ and speculates deep into easy content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
-import numpy as np
-
-from .drafter import DRAFT_MODES, ONE_STEP, DiffusionDrafter, DraftProposal, modal_chain
+from .drafter import DRAFT_MODES, ONE_STEP, DiffusionDrafter, DraftProposal
 from .errors import ConfigError, check_number
 from .ngram import argmax_token  # noqa: F401  (perfbench/spans.py wraps policies.argmax_token)
 
@@ -50,19 +48,6 @@ class FailFastConfig:
             )
 
 
-def propose_fixed_ar(drafter: DiffusionDrafter, prefix: list[int], n: int) -> DraftProposal:
-    """Draft ``n`` tokens autoregressively: one backbone pass per token.
-
-    Token-wise this is the same modal chain a one-step block produces; the
-    difference is purely in the pass accounting, which is the point of
-    comparing the two drafter styles under one cost model. The chain is
-    walked here, not as blocks, so a one-token draft decodes one token.
-    """
-    if n < 1:
-        raise ConfigError(f"draft length must be >= 1, got {n}")
-    return DraftProposal(*modal_chain(drafter.backbone, prefix, n), forward_passes=n)
-
-
 def propose_failfast(
     drafter: DiffusionDrafter, prefix: list[int], config: FailFastConfig
 ) -> DraftProposal:
@@ -75,35 +60,22 @@ def propose_failfast(
     ``max_length`` is truncated back to it, and a proposal containing
     ``<eos>`` is cut just after the marker. Every one-step block pulled to
     cover a chunk costs one pass, whether or not its tokens survive the cut.
-    Blocks are read one at a time, so no chunk re-walks the earlier blocks.
+    Each chunk redrafts the whole proposal through ``draft_tokens``, which
+    reads the earlier blocks back from the drafter's block cache.
     """
-    context = list(prefix)
     eos = drafter.backbone.vocabulary.eos_id
-    tokens: list[int] = []
-    confidences: list[float] = []
-    distributions: list[np.ndarray] = []
-    passes = 0
-    length = 0
+    end = 0
     while True:
-        chunk_start = length
-        length += config.step_size
-        while len(tokens) < length:
-            block = drafter.block(context, ONE_STEP)
-            context += block.tokens
-            passes += 1
-            tokens += block.tokens
-            confidences += block.confidences
-            distributions += block.distributions
-        chunk = tokens[chunk_start:length]
-        if eos in chunk:
-            length = chunk_start + chunk.index(eos) + 1
+        start, end = end, end + config.step_size
+        draft = drafter.draft_tokens(prefix, end, ONE_STEP)
+        if eos in draft.tokens[start:]:
+            end = draft.tokens.index(eos, start) + 1
             break
-        if min(confidences[chunk_start:length]) < config.confidence_threshold:
+        if min(draft.confidences[start:]) < config.confidence_threshold:
             break
-        if length >= config.max_length:
+        if end >= config.max_length:
             break
-    length = min(length, config.max_length)
-    return DraftProposal(tokens[:length], confidences[:length], distributions[:length], passes)
+    return draft.head(min(end, config.max_length))
 
 
 @dataclass(frozen=True)
@@ -116,7 +88,10 @@ class FixedAR:
         check_number(self.draft_len, int, "draft length", at_least=1)
 
     def propose(self, drafter: DiffusionDrafter, prefix: list[int]) -> DraftProposal:
-        return propose_fixed_ar(drafter, prefix, self.draft_len)
+        """The modal chain, read as one-step blocks put end to end: the same
+        tokens a one-step draft gets, billed one backbone pass per token."""
+        draft = drafter.draft_tokens(prefix, self.draft_len, ONE_STEP)
+        return replace(draft, forward_passes=self.draft_len)
 
     def label(self) -> str:
         return f"fixed_ar({self.draft_len})"

@@ -204,6 +204,12 @@ class TestRun:
             {"prompt_sample": {"count": 0}},
             {"prompt_sample": {"count": 2, "length": -4}},
             {"prompt_sample": {"count": 2, "length": 0}},
+            # json reads NaN, Infinity, -Infinity and integers past the float range
+            {"target": {"order": 4, "smoothing": float("nan")}},
+            {"cost": {"draft_pass_cost": float("nan")}},
+            {"drafter": {"order": 3, "smoothing": float("inf")}},
+            {"cost": {"decode_pass_cost": float("-inf")}},
+            {"target": {"order": 4, "smoothing": 10**400}},
         ],
     )
     def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):

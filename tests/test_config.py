@@ -373,6 +373,14 @@ class TestOneTablePerCorpus:
             ({"drafter": {"order": 2, "smoothing": 0.1, "block_size": 2.5}}, "block size"),
             ({"drafter": {"order": 2, "smoothing": 0.1, "unmask_threshold": "high"}}, "unmask threshold"),
             ({"policy": {"kind": "fail_fast", "step_size": 2.5}}, "step_size"),
+            ({"target": {"order": 3, "smoothing": float("nan")}}, "smoothing must be finite"),
+            ({"drafter": {"order": 2, "smoothing": float("inf")}}, "smoothing must be finite"),
+            ({"cost": {"draft_pass_cost": float("nan")}}, "draft_pass_cost must be finite"),
+            ({"cost": {"verify_round_cost": 10**400}}, "verify_round_cost must be finite"),
+            ({"cost": {"verify_round_cost": float("inf")}}, "verify_round_cost must be finite"),
+            ({"cost": {"verify_excess_cost": float("inf")}}, "verify_excess_cost must be finite"),
+            ({"cost": {"decode_pass_cost": float("-inf")}}, "decode_pass_cost must be finite"),
+            ({"policy": {"kind": "fail_fast", "confidence_threshold": float("nan")}}, "confidence"),
         ],
     )
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):

@@ -182,6 +182,9 @@ class TestSettings:
             {"unmask_threshold": 1.5},
             {"unmask_threshold": "0.9"},
             {"unmask_threshold": None},
+            {"unmask_threshold": float("nan")},
+            {"unmask_threshold": float("inf")},
+            {"unmask_threshold": float("-inf")},
         ],
     )
     def test_invalid_settings_rejected(self, bigram, kwargs):
@@ -258,6 +261,19 @@ class TestDraftProposal:
     def test_field_lengths_validated(self):
         with pytest.raises(ConfigError):
             DraftProposal([1, 2], [0.5], [np.array([1.0])], forward_passes=1)
+
+    def test_head_without_a_cut_is_the_same_object(self):
+        proposal = DraftProposal([1, 2], [0.5, 0.25], [np.array([1.0])] * 2, forward_passes=3)
+        assert proposal.head(2) is proposal
+        assert proposal.head(5) is proposal
+
+    def test_head_keeps_the_fields_aligned_and_every_pass(self):
+        dists = [np.array([float(i)]) for i in range(4)]
+        proposal = DraftProposal([7, 8, 9, 10], [0.9, 0.8, 0.7, 0.6], dists, forward_passes=5)
+        cut = proposal.head(2)
+        assert (cut.tokens, cut.confidences, cut.forward_passes) == ([7, 8], [0.9, 0.8], 5)
+        assert cut.distributions == dists[:2]
+        assert proposal.tokens == [7, 8, 9, 10]  # the original is untouched
 
 
 class TestContextTruncationProperty:

@@ -84,6 +84,19 @@ class TestCostModel:
             {"verify_token_cutoff": None},
             {"draft_pass_cost": True},
             {"verify_token_cutoff": 64.5},
+            {"draft_pass_cost": float("nan")},
+            {"draft_pass_cost": float("inf")},
+            {"draft_pass_cost": float("-inf")},
+            {"verify_round_cost": float("nan")},
+            {"verify_round_cost": float("inf")},
+            {"verify_round_cost": float("-inf")},
+            {"verify_excess_cost": float("nan")},
+            {"verify_excess_cost": float("inf")},
+            {"verify_excess_cost": float("-inf")},
+            {"decode_pass_cost": float("nan")},
+            {"decode_pass_cost": float("inf")},
+            {"decode_pass_cost": float("-inf")},
+            {"draft_pass_cost": 10**400},
         ],
     )
     def test_validation(self, kwargs):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab.drafter import ONE_STEP, DiffusionDrafter, one_step_block
+from speclab.drafter import ONE_STEP, DiffusionDrafter, modal_chain, one_step_block
 from speclab.errors import ConfigError
 from speclab.ngram import train_ngram
 from speclab.policies import (
@@ -28,7 +28,6 @@ from speclab.policies import (
     FixedAR,
     FixedDLLM,
     propose_failfast,
-    propose_fixed_ar,
 )
 
 
@@ -57,6 +56,9 @@ class TestFailFastConfig:
             {"step_size": 2.5},
             {"confidence_threshold": "0.5"},
             {"max_length": 60.0},
+            {"confidence_threshold": float("nan")},
+            {"confidence_threshold": float("inf")},
+            {"confidence_threshold": float("-inf")},
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -126,7 +128,7 @@ class TestPolicyObjects:
     def test_fixed_ar_and_one_step_agree_on_tokens(self, mixed_lab):
         # Both walk the backbone's modal chain; only the pass bill differs.
         prompt = mixed_lab.prompts(1, seed=22)[0]
-        ar = propose_fixed_ar(mixed_lab.drafter, prompt, 12)
+        ar = FixedAR(12).propose(mixed_lab.drafter, prompt)
         block = mixed_lab.drafter.draft_tokens(prompt, 12, ONE_STEP)
         assert ar.tokens == block.tokens
         assert ar.forward_passes == 12
@@ -259,4 +261,27 @@ class TestFailFastReadsTheBlockCache:
             assert got.confidences == confidences
             assert got.forward_passes == passes
             assert len(got.distributions) == len(distributions)
+            assert all(np.array_equal(g, w) for g, w in zip(got.distributions, distributions))
+
+
+class TestFixedARIsTheModalChain:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=st.sampled_from(["mixed", "eos"]),
+        size=st.sampled_from([4, 8]),
+        pick=st.integers(min_value=0, max_value=29),
+        n=st.integers(min_value=1, max_value=20),
+    )
+    def test_equals_the_modal_chain_on_warm_drafters(self, warm_failfast, corpus, size, pick, n):
+        """One-step blocks put end to end, read from a warm block cache, are
+        the backbone's modal chain, billed one pass per token."""
+        drafter, prompts = warm_failfast[corpus, size]
+        prefix = prompts[pick % len(prompts)]
+        tokens, confidences, distributions = modal_chain(drafter.backbone, prefix, n)
+        for _ in range(2):
+            got = FixedAR(n).propose(drafter, prefix)
+            assert got.tokens == tokens
+            assert got.confidences == confidences
+            assert got.forward_passes == n
+            assert len(got.distributions) == n
             assert all(np.array_equal(g, w) for g, w in zip(got.distributions, distributions))

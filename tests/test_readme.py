@@ -1,16 +1,20 @@
 """The README's library quick start runs as written against the top-level
-package, and its ``speclab`` commands parse with the current CLI."""
+package, its ``speclab`` commands parse with the current CLI, and its config
+example is the shipped ``mixed_failfast.json``."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
 
 import speclab
 from speclab.cli import build_parser
+from speclab.config import load_config, validate_schema
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def blocks(language: str) -> list[str]:
@@ -41,3 +45,10 @@ def test_every_cli_command_parses():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_config_example_is_the_shipped_mixed_failfast_config():
+    (block,) = blocks("json")
+    example = json.loads(block)
+    validate_schema(example)
+    assert example == load_config(os.path.join(ROOT, "workloads", "mixed_failfast.json"))
