@@ -123,25 +123,11 @@ def _list_column(kind: type, lists: list, name: str) -> list:
     return [_list_of(kind, v, name) for v in lists]
 
 
-# Text <-> value memos shared by every transcript in the process. A long draft
-# writes one confidence per token, but a run holds few distinct confidences,
-# and most of them recur across transcripts, so a memo per transcript would
-# miss about half the time. Each stops growing at the cap.
+# The reader's text -> float memo, shared by every transcript in the process.
+# A long draft writes one confidence per token, but a run holds few distinct
+# confidences, and most of them recur across transcripts, so a memo per
+# transcript would miss about half the time. It stops growing at the cap.
 _MEMO_CAP = 1 << 14
-
-
-class _FloatText(dict):
-    """float -> its JSON text, for exact floats only. Zeros and non-finite
-    values are formatted and not stored: ``0.0 == -0.0`` and a NaN matches
-    nothing, so neither can be a key that maps back to one text."""
-
-    def __missing__(self, value: float) -> str:
-        if not math.isfinite(value):
-            return _encode_scalar(value)
-        text = float.__repr__(value)
-        if value and len(self) < _MEMO_CAP:
-            self[value] = text
-        return text
 
 
 class _TextFloat(dict):
@@ -154,42 +140,7 @@ class _TextFloat(dict):
         return value
 
 
-_FLOAT_TEXT = _FloatText()
-_TEXT_FLOAT = _TextFloat()
-_DECODER = json.JSONDecoder(parse_float=_TEXT_FLOAT.__getitem__)
-
-# The C encoder, for scalars the fast paths do not write themselves: strings
-# (ASCII-escaped), bools, None, non-finite floats and float subclasses such
-# as ``np.float64``. It raises TypeError on what json.dumps rejects.
-_encode_scalar = json.JSONEncoder().encode
-
-
-def _scalar(value) -> str:
-    """One scalar as ``json.dumps`` writes it."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        return _FLOAT_TEXT[value]
-    return _encode_scalar(value)
-
-
-def _texts(values: list) -> list[str]:
-    """Each scalar of ``values`` as ``json.dumps`` writes it."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {float}:
-        return list(map(_FLOAT_TEXT.__getitem__, values))
-    return list(map(_scalar, values))
-
-
-def _flat_list(values: Sequence, pad: str) -> str:
-    """A list of scalars as ``json.dumps(..., indent=1)`` writes it, where
-    ``pad`` is a newline plus the items' indentation."""
-    if not values:
-        return "[]"
-    return "[" + pad + ("," + pad).join(_texts(values)) + pad[:-1] + "]"
+_DECODER = json.JSONDecoder(parse_float=_TextFloat().__getitem__)
 
 
 @dataclass(frozen=True)
@@ -221,7 +172,6 @@ class RoundRecord:
 
 
 _ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
-_ROUND_LISTS = ("proposed_tokens", "confidences")
 
 
 def _round_columns(rounds: list) -> dict[str, list]:
@@ -271,34 +221,6 @@ def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None
         raise IoError("transcript is malformed: output is not what the rounds commit")
 
 
-# RoundRecord.to_dict and Transcript.to_dict at indent=1, keys in their order.
-_ROUND_JSON = """  {
-   "proposed_len": %s,
-   "accepted_len": %s,
-   "drafter_passes": %s,
-   "replacement_kind": %s,
-   "proposed_tokens": %s,
-   "replacement_token": %s,
-   "confidences": %s,
-   "draft_latency": %s,
-   "verify_latency": %s
-  }"""
-_TRANSCRIPT_JSON = """{
- "schema_version": %s,
- "config": %s,
- "seed": %s,
- "prompt": %s,
- "vocab": %s,
- "rounds": %s,
- "output": %s,
- "draft_latency": %s,
- "verify_latency": %s,
- "total_latency": %s,
- "vanilla_latency": %s,
- "speedup": %s
-}"""
-
-
 @dataclass
 class Transcript:
     """A full episode: prompt, per-round records, output, and latency totals.
@@ -341,7 +263,7 @@ class Transcript:
         if not isinstance(obj, dict):
             raise IoError(f"transcript is malformed: expected an object, got {type(obj).__name__}")
         version = obj.get("schema_version")
-        if version != TRANSCRIPT_SCHEMA_VERSION:
+        if type(version) is not int or version != TRANSCRIPT_SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"transcript schema_version {version!r} unsupported "
                 f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
@@ -374,37 +296,8 @@ class Transcript:
         return t
 
     def to_json(self) -> str:
-        """Exactly the bytes of ``json.dumps(self.to_dict(), indent=1)``.
-
-        The text is built from the fixed schema rather than by walking the
-        dict, because ``indent`` forces CPython's pure-Python encoder.
-        ``config`` is free-form and still goes through ``json.dumps``;
-        every other field holds the schema's scalars or flat lists of them.
-        Round fields are formatted a column at a time, so a column of one
-        exact type takes one fast path, and floats come from a memo.
-        """
-        columns = []
-        for name in _ROUND_FIELDS:
-            values = [getattr(r, name) for r in self.rounds]
-            if name in _ROUND_LISTS:
-                columns.append([_flat_list(v, "\n    ") for v in values])
-            else:
-                columns.append(_texts(values))
-        rounds = ",\n".join([_ROUND_JSON % row for row in zip(*columns)])
-        return _TRANSCRIPT_JSON % (
-            _scalar(self.schema_version),
-            json.dumps(self.config, indent=1).replace("\n", "\n "),
-            _flat_list(self.seed, "\n  "),
-            _flat_list(self.prompt, "\n  "),
-            _flat_list(self.vocab, "\n  "),
-            "[\n" + rounds + "\n ]" if self.rounds else "[]",
-            _flat_list(self.output, "\n  "),
-            _scalar(self.draft_latency),
-            _scalar(self.verify_latency),
-            _scalar(self.total_latency),
-            _scalar(self.vanilla_latency),
-            _scalar(self.speedup),
-        )
+        """``to_dict`` as compact JSON; ``from_json`` reads any layout."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

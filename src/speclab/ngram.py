@@ -27,6 +27,7 @@ from .errors import (
     IoError,
     SchemaVersionMismatch,
     UnknownToken,
+    check_number,
 )
 
 EOS_TOKEN = "<eos>"
@@ -109,8 +110,7 @@ class NGramModel:
     ) -> None:
         if order < 1:
             raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
-        if smoothing < 0:
-            raise ConfigError(f"smoothing must be >= 0, got {smoothing}")
+        check_number(smoothing, float, "smoothing", at_least=0)
         if () not in counts:
             raise EmptyCorpus("model has no unigram counts")
         self.vocabulary = vocabulary

@@ -53,8 +53,8 @@ def theoretical_speedup(
 ) -> float:
     """Expected tokens per round divided by expected round cost."""
     tokens = expected_tokens_per_round(alpha, gamma)
-    if cost_ratio < 0.0:
-        raise InvalidTheoryParams(f"cost ratio must be >= 0, got {cost_ratio}")
+    if not 0.0 <= cost_ratio < math.inf:
+        raise InvalidTheoryParams(f"cost ratio must be a finite number >= 0, got {cost_ratio}")
     return tokens / (drafter_passes(gamma, drafter_kind, block_size) * cost_ratio + 1.0)
 
 

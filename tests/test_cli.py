@@ -116,6 +116,15 @@ class TestTrain:
     def test_missing_corpus_is_a_runtime_error(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--smoothing", "nan"], ["--drafter-smoothing", "inf"]])
+    def test_non_finite_smoothing_writes_no_model(self, tmp_path, capsys, flags):
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "models"
+        assert main(["train", str(corpus), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "smoothing" in err[0]
+        assert not list(out.glob("*.json"))
+
 
 class TestRun:
     def test_produces_transcripts_and_report(self, tmp_path, capsys):
@@ -403,7 +412,15 @@ class TestTheory:
         assert (out / "theory.svg").exists()
         assert capsys.readouterr().out.count("best gamma=") == 4
 
-    @pytest.mark.parametrize("flags", [["--alpha", "0.8", "1.0"], ["--gamma-max", "0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "0.8", "1.0"],
+            ["--gamma-max", "0"],
+            ["--cost-ratio", "nan"],
+            ["--cost-ratio", "inf"],
+        ],
+    )
     def test_invalid_input_writes_no_csv(self, tmp_path, flags):
         out = tmp_path / "theory"
         assert main(["theory", *flags, "--out", str(out)]) == 1

@@ -152,8 +152,9 @@ class TestDistributions:
             model_for(["ab"], order=0)
 
     def test_negative_smoothing(self):
-        with pytest.raises(ConfigError):
-            model_for(["ab"], order=1, smoothing=-0.5)
+        for smoothing in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="smoothing"):
+                model_for(["ab"], order=1, smoothing=smoothing)
 
 
 class TestPersistence:

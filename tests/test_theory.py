@@ -121,8 +121,9 @@ class TestValidation:
     def test_other_parameters(self):
         with pytest.raises(InvalidTheoryParams):
             theoretical_speedup(0.8, 0, 0.05)
-        with pytest.raises(InvalidTheoryParams):
-            theoretical_speedup(0.8, 4, -0.01)
+        for cost_ratio in (-0.01, float("nan"), float("inf")):
+            with pytest.raises(InvalidTheoryParams):
+                theoretical_speedup(0.8, 4, cost_ratio)
         with pytest.raises(InvalidTheoryParams):
             theoretical_speedup(0.8, 4, 0.05, drafter_kind="oracle")
         with pytest.raises(InvalidTheoryParams):
