@@ -19,7 +19,7 @@ from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import SUMMARY_COLUMNS, render_report, summary_row, write_summary_csv
 from .svg import render_curves
-from .theory import DRAFTER_AR, DRAFTER_BLOCK, best_gamma, speedup_curve
+from .theory import DRAFTER_AR, DRAFTER_BLOCK, curve_peak, speedup_curve
 from .tokenizers import tokenize
 
 OUTPUT_DIR_ENV = "SPECLAB_OUTPUT_DIR"
@@ -129,7 +129,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
     for alpha in args.alpha:
         for kind in (DRAFTER_AR, DRAFTER_BLOCK):
             curve = speedup_curve(alpha, gammas, args.cost_ratio, kind, args.block_size)
-            star, peak = best_gamma(alpha, gammas, args.cost_ratio, kind, args.block_size)
+            star, peak = curve_peak(gammas, curve)
             for g, s in zip(gammas, curve):
                 values = (alpha, kind, g, f"{s:.6f}", "*" if g == star else "")
                 rows.append(dict(zip(columns, map(str, values))))

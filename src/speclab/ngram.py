@@ -11,11 +11,9 @@ token given this context".
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,7 +70,10 @@ class Vocabulary:
             raise UnknownToken(f"token not in vocabulary: {token!r}") from None
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        try:
+            return list(map(self._index.__getitem__, tokens))
+        except KeyError as exc:
+            raise UnknownToken(f"token not in vocabulary: {exc.args[0]!r}") from None
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -92,13 +93,120 @@ def build_vocab(docs: Sequence[Sequence[str]]) -> Vocabulary:
     return Vocabulary(tuple(seen) + (EOS_TOKEN,))
 
 
+class _SuffixTrie:
+    """A count table as a reversed trie over flat arrays, shared by every
+    order view of one training.
+
+    Node 0 is the empty context. The node of a context ``(t,) + rest`` is
+    ``edges[node(rest) * |V| + t]``: every node hangs off the context one
+    token shorter at the left, the key of Pauls & Klein's suffix-indexed
+    n-grams. A node's bucket is ``tokens[bounds[v]:bounds[v + 1]]`` with
+    their counts at the same places of ``tallies``, and ``totals[v]`` is
+    their sum. Every suffix of a node is a node, so walking the window from
+    its last token stops at the longest suffix there is.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        edges: dict[int, int],
+        bounds: np.ndarray,
+        tokens: np.ndarray,
+        tallies: np.ndarray,
+        totals: np.ndarray,
+        counts: dict[tuple[int, ...], dict[int, int]] | None = None,
+    ) -> None:
+        self.size = size
+        self.edges = edges
+        # A memoryview indexes to a Python int in about half the time numpy does.
+        self.bounds, self.tokens, self.tallies, self.totals = (
+            memoryview(np.asarray(a)) for a in (bounds, tokens, tallies, totals)
+        )
+        self._counts = counts
+
+    @classmethod
+    def from_counts(cls, counts: dict[tuple[int, ...], dict[int, int]], size: int) -> _SuffixTrie:
+        """The trie of a context -> token -> count dict holding ``()``.
+
+        The dict need not be suffix-closed (a model file may leave out the
+        suffix of a context it keeps): every suffix of a stored context
+        becomes a node, and one the dict lacks takes the bucket of its
+        longest suffix the dict holds, so a walk still ends on the bucket
+        of the longest suffix in ``counts``.
+        """
+        nodes = {(): 0}
+        for ctx in counts:
+            for start in range(len(ctx)):
+                nodes.setdefault(ctx[start:], len(nodes))
+        tokens: list[int] = []
+        tallies: list[int] = []
+        bounds, totals = [0], []
+        for ctx in nodes:
+            while ctx not in counts:
+                ctx = ctx[1:]
+            bucket = counts[ctx]
+            tokens += bucket
+            tallies += bucket.values()
+            bounds.append(len(tokens))
+            totals.append(sum(bucket.values()))
+        edges = {nodes[ctx[1:]] * size + ctx[0]: node for ctx, node in nodes.items() if ctx}
+        # int64 throughout: a count or total past it raises OverflowError here.
+        arrays = (np.array(a, dtype=np.int64) for a in (bounds, tokens, tallies, totals))
+        return cls(size, edges, *arrays, counts)
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """Context -> token -> count for every node, built on first read.
+
+        A trained trie numbers its nodes in the order counting position by
+        position inserts contexts, so the dict comes out in that order.
+        Contexts with equal ordered buckets share one bucket dict, so
+        buckets are read-only.
+        """
+        if self._counts is None:
+            self._counts = dict(zip(self._contexts(), self._buckets()))
+        return self._counts
+
+    def _contexts(self) -> list[tuple[int, ...]]:
+        """Every node's context, by node (a trained trie inserts its edges in
+        node order)."""
+        keys = np.fromiter(self.edges, dtype=np.int64, count=len(self.edges))
+        parents, firsts = (np.r_[0, a].tolist() for a in np.divmod(keys, self.size))
+        contexts: list = [()] + [None] * len(keys)
+        for node in range(1, len(contexts)):
+            path, up = [], node
+            while contexts[up] is None:  # a suffix can come later at one position
+                path.append(up)
+                up = parents[up]
+            ctx = contexts[up]
+            for step in reversed(path):
+                ctx = contexts[step] = (firsts[step],) + ctx
+        return contexts
+
+    def _buckets(self) -> list[dict[int, int]]:
+        """Every node's bucket as a token -> count dict, by node; equal
+        ordered buckets are one dict."""
+        items = np.empty(2 * len(self.tokens), dtype=np.int64)
+        items[0::2], items[1::2] = self.tokens, self.tallies
+        flat = tuple(items.tolist())
+        ends = 2 * np.asarray(self.bounds, dtype=np.int64)
+        shared: dict[tuple[int, ...], dict[int, int]] = {}
+        return [
+            shared.get(key) or shared.setdefault(key, dict(zip(key[0::2], key[1::2])))
+            for key in map(flat.__getitem__, map(slice, ends[:-1], ends[1:]))
+        ]
+
+
 class NGramModel:
     """Order-``k`` add-lambda n-gram model with longest-suffix backoff.
 
     Counts are gathered for every context window of length 0..k-1 observed in
     the training corpus, so backoff never falls off the end: the empty context
     (the unigram level) is always available. The model is immutable after
-    training; distribution lookups are cached.
+    training; lookups are cached per window.
+
+    ``counts`` is a context -> token -> count dict holding ``()``, or the
+    trie of another model (how training and :meth:`with_order` share one).
     """
 
     def __init__(
@@ -106,26 +214,29 @@ class NGramModel:
         vocabulary: Vocabulary,
         order: int,
         smoothing: float,
-        counts: dict[tuple[int, ...], dict[int, int]],
+        counts: dict[tuple[int, ...], dict[int, int]] | _SuffixTrie,
     ) -> None:
         if order < 1:
             raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
         check_number(smoothing, float, "smoothing", at_least=0)
-        if () not in counts:
-            raise EmptyCorpus("model has no unigram counts")
+        if not isinstance(counts, _SuffixTrie):
+            if () not in counts:
+                raise EmptyCorpus("model has no unigram counts")
+            counts = _SuffixTrie.from_counts(counts, len(vocabulary))
         self.vocabulary = vocabulary
         self.order = order
         self.smoothing = float(smoothing)
-        self._counts = counts
-        self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._top_cache: dict[tuple[int, ...], tuple[int, float]] = {}
+        self._trie = counts
+        self._window = slice(1 - order, None) if order > 1 else slice(0, 0)
+        self._floor = np.full(len(vocabulary), self.smoothing)  # the numerator of an unseen token
+        self._cache: dict[tuple[int, ...], tuple[np.ndarray, int, float]] = {}
 
     @cached_property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
         """Context -> token -> count for contexts shorter than ``order``, as
         training at ``order`` builds it (built on first read and kept; treat
         it as read-only)."""
-        return {ctx: bucket for ctx, bucket in self._counts.items() if len(ctx) < self.order}
+        return {ctx: bucket for ctx, bucket in self._trie.counts.items() if len(ctx) < self.order}
 
     def with_order(self, order: int, smoothing: float) -> NGramModel:
         """An O(1) view sharing this vocabulary and count table; it equals
@@ -133,58 +244,66 @@ class NGramModel:
         never counted, so ``order`` must be in 1..``self.order``."""
         if not 1 <= order <= self.order:
             raise InvalidOrder(f"view order must be in 1..{self.order}, got {order}")
-        return NGramModel(self.vocabulary, order, smoothing, self._counts)
+        return NGramModel(self.vocabulary, order, smoothing, self._trie)
 
     def window(self, context: Sequence[int]) -> tuple[int, ...]:
         """The last ``order - 1`` tokens of ``context``: all the model reads of
         it, so every lookup and everything derived from one is keyed by it."""
-        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        return tuple(context[self._window])
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:
-        """Dense next-token distribution after ``context``.
+        """Dense next-token distribution after ``context``, a sequence of ids
+        of this model's vocabulary.
 
         Only the :meth:`window` of ``context`` is used. If that window was
         never observed, the model backs off to the longest observed suffix,
         bottoming out at the unigram level. Add-lambda smoothing is applied at
         the matched level only.
         """
-        ctx = self.window(context)
-        cached = self._dist_cache.get(ctx)
-        if cached is not None:
-            return cached
-        level = ctx
-        while level and level not in self._counts:
-            level = level[1:]
-        bucket = self._counts[level]
-        size = len(self.vocabulary)
-        lam = self.smoothing
-        probs = np.full(size, lam, dtype=np.float64)
-        for tok, cnt in bucket.items():
-            probs[tok] += cnt
-        probs /= sum(bucket.values()) + lam * size
-        probs.setflags(write=False)
-        if len(self._dist_cache) < _DIST_CACHE_CAP:
-            self._dist_cache[ctx] = probs
-        return probs
+        ctx = tuple(context[self._window])
+        return (self._cache.get(ctx) or self._lookup(ctx))[0]
 
     def top(self, context: Sequence[int]) -> tuple[int, float]:
         """The argmax token after ``context`` (ties go to the lowest id) and
         its probability, cached per :meth:`window`."""
-        ctx = self.window(context)
-        cached = self._top_cache.get(ctx)
-        if cached is not None:
-            return cached
-        dist = self.next_distribution(ctx)
-        tok = argmax_token(dist)
-        best = (tok, float(dist[tok]))
-        if len(self._top_cache) < _DIST_CACHE_CAP:
-            self._top_cache[ctx] = best
-        return best
+        ctx = tuple(context[self._window])
+        found = self._cache.get(ctx) or self._lookup(ctx)
+        return found[1], found[2]
+
+    def _lookup(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, int, float]:
+        """Walk the trie from the last token of the window ``ctx`` to its
+        longest counted suffix, and read the distribution and its argmax off
+        that bucket: a counted token never scores below an unseen one, so
+        the argmax is the lowest id of the largest probability among the
+        bucket and token 0."""
+        trie = self._trie
+        edges, size = trie.edges, trie.size
+        node = 0
+        for tok in reversed(ctx):
+            child = edges.get(node * size + tok)
+            if child is None:
+                break
+            node = child
+        lam = self.smoothing
+        total = trie.totals[node] + lam * size
+        probs = self._floor / total
+        best, best_p = 0, lam / total
+        tokens, tallies = trie.tokens, trie.tallies
+        for i in range(trie.bounds[node], trie.bounds[node + 1]):
+            tok = tokens[i]
+            p = probs[tok] = (lam + tallies[i]) / total
+            if p > best_p or (p == best_p and tok < best):
+                best, best_p = tok, p
+        probs.setflags(write=False)
+        found = (probs, best, best_p)
+        if len(self._cache) < _DIST_CACHE_CAP:
+            self._cache[ctx] = found
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NGramModel(order={self.order}, smoothing={self.smoothing}, "
-            f"vocab={len(self.vocabulary)}, contexts={len(self._counts)})"
+            f"vocab={len(self.vocabulary)}, nodes={len(self._trie.totals)})"
         )
 
 
@@ -208,114 +327,131 @@ def train_ngram(
     on token ids but are trained on different text). A document holding
     ``<eos>`` itself is rejected on both paths.
 
-    The corpus is counted as one id array, one context length ``L`` at a
-    time. Sorting ``rank · |V| + next token`` over every position whose
-    length-``L`` context lies in its document, where ``rank`` is the dense id
-    of that context, groups equal length-``L + 1`` windows: a group's size is
-    its count, its lowest position its first occurrence, and its index the
-    rank of that window as a context at the next length. Levels stop when no
-    window fits in a document, so an ``order`` above the longest document
-    costs nothing. Python objects are then built once per distinct context,
-    in the order counting position by position inserts them: contexts by
-    first occurrence (the longer first at one position), bucket tokens by
-    first occurrence. Contexts whose ordered buckets are equal share one
-    bucket dict, so buckets are read-only.
+    The corpus is counted as one id array into the arrays of a suffix trie,
+    one context length ``L`` at a time. Every position ``j`` whose
+    length-``L`` context lies in its document has the key (rank of the
+    context's suffix one token shorter, the context's first token, the next
+    token ``ids[j]``). Sorting the keys groups equal contexts, and within
+    them equal next tokens: a group's size is its count, its lowest position
+    its first occurrence, and the contexts' dense ranks key the next length.
+    Levels stop when no window fits in a document, so an ``order`` above the
+    longest document costs nothing. Nodes are numbered in the order
+    counting position by position inserts contexts (by first occurrence,
+    the longer first at one position) and bucket tokens by first
+    occurrence. No Python object is built per context: the ``counts`` dict
+    is built from the arrays when it is first read.
     """
     if order < 1:
         raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
     if vocabulary is None:
         vocabulary = build_vocab(docs)
-    eos = vocabulary.eos_id
     lengths = [len(doc) + 1 for doc in docs]
-    ids = np.fromiter(
-        chain.from_iterable(chain(vocabulary.encode(doc), (eos,)) for doc in docs),
-        dtype=np.int64,
-        count=sum(lengths),
-    )
-    if np.count_nonzero(ids == eos) != len(lengths):
+    corpus: list[str] = []
+    for doc in docs:
+        corpus += doc
+        corpus.append(EOS_TOKEN)
+    # The narrowest id type: the ids stay alive through counting's peak.
+    ids = np.array(vocabulary.encode(corpus), dtype=np.min_scalar_type(len(vocabulary)))
+    del corpus
+    if np.count_nonzero(ids == vocabulary.eos_id) != len(lengths):
         raise ConfigError("corpus contains the reserved <eos> token")
     if len(ids) == len(lengths):
         raise EmptyCorpus("corpus has no tokens")
-
-    ctx_first, ctx_len, ends, items = _count_windows(ids, lengths, order, len(vocabulary))
-    # Python objects once per distinct context and once per distinct bucket.
-    # Slice bounds come straight off the arrays: listing them first would
-    # allocate an int object per bound.
-    flat = tuple(items.tolist())
-    shared: dict[tuple[int, ...], dict[int, int]] = {}
-    buckets = [
-        shared.get(key) or shared.setdefault(key, dict(zip(key[0::2], key[1::2])))
-        for key in map(flat.__getitem__, map(slice, np.r_[0, ends[:-1]], ends))
-    ]
-    tokens = tuple(ids.tolist())
-    contexts = map(tokens.__getitem__, map(slice, ctx_first - ctx_len, ctx_first))
-    counts = dict(zip(contexts, buckets))
-    return NGramModel(vocabulary, order, smoothing, counts)
+    return NGramModel(vocabulary, order, smoothing, _count_windows(ids, lengths, order, len(vocabulary)))
 
 
-def _count_windows(
-    ids: np.ndarray, lengths: list[int], order: int, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _count_windows(ids: np.ndarray, lengths: list[int], order: int, size: int) -> _SuffixTrie:
     """Count the windows of the corpus ``ids``, documents of ``lengths``
-    tokens each, that lie in one document, one context length at a time, as
-    :func:`train_ngram` describes.
+    tokens each, that lie in one document into a trie, as :func:`train_ngram`
+    describes. The edges dict is built last, once every temporary is gone."""
+    edge_keys, *arrays = _number_nodes(*_count_levels(ids, lengths, order, size), size)
+    edges = dict(zip(edge_keys.tolist(), range(1, len(edge_keys) + 1)))
+    return _SuffixTrie(size, edges, *arrays)
 
-    Returns the contexts in insertion order, as each one's first position
-    (where its next token lies) and its length, and its buckets as
-    ``items``: (token, count) pairs flattened, each bucket's tokens by first
-    position, bucket ``i`` ending at ``ends[i]``. Its temporaries are freed
-    before the Python objects are built.
+
+def _count_levels(
+    ids: np.ndarray, lengths: list[int], order: int, size: int
+) -> tuple[np.ndarray, ...]:
+    """Every context of the corpus, one context length at a time.
+
+    Returns per context its place in insertion order (first position times
+    ``order``, plus ``order - 1 - length`` so the longer comes first at one
+    position), its parent (the context without its first token, as an index
+    into these arrays) and first token, and its bucket width; and the
+    buckets, each one's (token, count) groups by first position. Positions
+    are int32, and every sort key stays below (contexts of one length) *
+    |V|², so a corpus must hold fewer than 2**31 and 2**63 / |V|² tokens.
     """
     n = len(ids)
+    if n >= 1 << 31 or n * size * size >= 1 << 63:
+        raise ConfigError(f"corpus of {n} tokens over {size} types is too large to count")
     doc_start = np.zeros(n + 1, dtype=bool)  # where a document starts, and at n
     doc_start[np.cumsum([0] + lengths)] = True
     # The positions j whose length-L context lies in their document, and the
-    # key rank * |V| + ids[j] of each one's window [j - L, j], where rank is
-    # the dense id of its context (every context is () at L = 0).
-    at, keys = np.arange(n), ids
-    # Per context length: each context's first position, length and bucket
-    # width, and its (token, count) groups by first position. Every sort key
-    # stays below n * max(n, |V|), which int64 holds for any corpus in memory.
+    # key of each: the dense rank of its context's suffix one token shorter
+    # and the context's first token (both nothing at L = 0), then ids[j].
+    at, keys = np.arange(n, dtype=np.int32), ids
     levels: list[tuple[np.ndarray, ...]] = []
+    parent_base = start = 0  # where the previous length's and this length's contexts begin
     for length in range(order):
         if not len(at):
             break
-        perm = np.argsort(keys)
+        # For the narrow ids at length 0, numpy's stable sort is a radix sort.
+        perm = np.argsort(keys, kind="stable" if length == 0 else "quicksort")
         at = at[perm]
         keys = keys[perm]
-        new = np.r_[True, keys[1:] != keys[:-1]]
-        heads = np.flatnonzero(new)
-        ctx, tok = np.divmod(keys[heads], size)
+        heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         first = np.minimum.reduceat(at, heads)
-        runs = np.flatnonzero(np.r_[True, ctx[1:] != ctx[:-1]])
-        perm = np.argsort(ctx * n + first)  # within each context, by first position
+        cnt = np.diff(np.r_[heads, len(at)])
+        ctx, tok = np.divmod(keys[heads], size)  # ctx is (suffix rank, first token)
+        new = np.r_[True, ctx[1:] != ctx[:-1]]
+        runs = np.flatnonzero(new)  # the groups that start a context
+        perm = np.argsort(np.cumsum(new) * n + first)  # within each context, by first position
+        suffix, first_tok = np.divmod(ctx[runs], size)
         levels.append((
-            np.minimum.reduceat(first, runs),
-            np.full(len(runs), length, dtype=np.int64),
-            np.diff(np.r_[runs, len(ctx)]),
+            np.minimum.reduceat(first, runs).astype(np.int64) * order + (order - 1 - length),
+            suffix + parent_base,
+            first_tok,
+            np.diff(np.r_[runs, len(heads)]),
             tok[perm],
-            np.diff(np.r_[heads, len(at)])[perm],
+            cnt[perm],
         ))
-        # Window [j - L, j] is the length-(L + 1) context of j + 1 when j + 1
-        # lies in the same document, and its group index is that context's id.
-        at += 1
-        keep = ~doc_start[at]
+        parent_base, start = start, start + len(runs)
+        marks = np.zeros(len(at), dtype=bool)
+        marks[heads[runs]] = True
+        keys = np.cumsum(marks)  # each position's context rank + 1
+        # The context grows one token to the left while that token lies in
+        # the document, that is while j - L is not where it starts.
+        keep = ~doc_start[at - length]
         at = at[keep]
-        np.cumsum(new, out=keys)  # group index + 1, in the dead sorted keys' memory
-        keys -= 1
         keys = keys[keep]
+        keys -= 1
+        keys *= size
+        keys += ids[at - length - 1]
         keys *= size
         keys += ids[at]
-    ctx_first, ctx_len, widths, tok, cnt = (np.concatenate(a) for a in zip(*levels))
-    # All contexts by first position, the longer first, each bucket moved along.
-    by_first = np.argsort(ctx_first * len(levels) + (len(levels) - 1 - ctx_len))
+    return tuple(np.concatenate(a) for a in zip(*levels))
+
+
+def _number_nodes(
+    place: np.ndarray, parent: np.ndarray, first_tok: np.ndarray, widths: np.ndarray,
+    tok: np.ndarray, cnt: np.ndarray, size: int,
+) -> tuple[np.ndarray, ...]:
+    """Number the contexts of :func:`_count_levels` in insertion order: the
+    edge key of nodes 1.. (node 0 is ``()``), and the bucket bounds, tokens,
+    counts and totals by node, in the narrowest dtype that holds them."""
+    by_first = np.argsort(place)
+    node = np.empty_like(by_first)
+    node[by_first] = np.arange(len(node))
+    edge_keys = (node[parent] * size + first_tok)[by_first[1:]]
     old_start = (np.cumsum(widths) - widths)[by_first]
     widths = widths[by_first]
     ends = np.cumsum(widths)
     gather = np.repeat(old_start - (ends - widths), widths) + np.arange(len(tok))
-    items = np.empty(2 * len(tok), dtype=np.int64)
-    items[0::2], items[1::2] = tok[gather], cnt[gather]
-    return ctx_first[by_first], ctx_len[by_first], 2 * ends, items
+    bounds, tallies = np.r_[0, ends], cnt[gather]
+    totals = np.add.reduceat(tallies, bounds[:-1])
+    dtype = np.min_scalar_type(max(len(tok), size, totals[0]))  # the root's total is the largest
+    return (edge_keys, *(a.astype(dtype) for a in (bounds, tok[gather], tallies, totals)))
 
 
 def save_model(model: NGramModel, path: str | os.PathLike[str]) -> None:
@@ -348,8 +484,8 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
     """Read a model written by :func:`save_model`.
 
     Raises :class:`IoError` on unreadable, unparseable or malformed files (a
-    field of the wrong type, a count that is not a positive integer, a
-    non-finite smoothing) and :class:`SchemaVersionMismatch` on a version
+    field of the wrong type, a count that is not a positive integer or
+    overflows int64, a non-finite smoothing) and :class:`SchemaVersionMismatch` on a version
     this build does not support; never returns a partially valid model.
     """
     try:
@@ -372,8 +508,6 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
             raise ValueError("vocabulary must be a list of strings")
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
-        if type(smoothing) not in (int, float) or not 0 <= smoothing < math.inf:
-            raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
         if not isinstance(payload["counts"], dict):
             raise ValueError("counts must be an object")
         vocabulary = Vocabulary(tuple(tokens))
@@ -386,6 +520,6 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
                 raise ValueError(f"bucket {key!r} holds a count that is not an integer >= 1")
             ctx = () if key == "" else tuple(index[t] for t in key.split(_CTX_SEP))
             counts[ctx] = {index[t]: c for t, c in bucket.items()}
-        return NGramModel(vocabulary, order, float(smoothing), counts)
-    except (KeyError, TypeError, ValueError, ConfigError, EmptyCorpus) as exc:
+        return NGramModel(vocabulary, order, smoothing, counts)
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError, EmptyCorpus) as exc:
         raise IoError(f"model file {path} is malformed: {exc}") from exc

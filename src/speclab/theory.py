@@ -79,8 +79,13 @@ def best_gamma(
 ) -> tuple[int, float]:
     """Maximizer over the grid and its speedup (first hit wins on exact ties)."""
     gammas = list(gammas)
+    return curve_peak(gammas, speedup_curve(alpha, gammas, cost_ratio, drafter_kind, block_size))
+
+
+def curve_peak(gammas: list[int], values: list[float]) -> tuple[int, float]:
+    """The grid point of the largest of ``values``, a curve over ``gammas``,
+    and that value (first hit wins on exact ties)."""
     if not gammas:
         raise InvalidTheoryParams("empty speculation-length grid")
-    values = speedup_curve(alpha, gammas, cost_ratio, drafter_kind, block_size)
     best_idx = max(range(len(values)), key=lambda i: (values[i], -i))
     return gammas[best_idx], values[best_idx]

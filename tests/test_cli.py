@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speclab import theory
 from speclab.cli import OUTPUT_DIR_ENV, main
 from speclab.config import load_config, materialize
 from speclab.ngram import load_model
@@ -290,6 +291,17 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
 
+    @pytest.mark.parametrize("path", [("smoothing",), ("counts", "", "t")])
+    def test_a_401_digit_model_number_fails_with_one_error_line(self, trained, tmp_path, capsys, path):
+        write_corpus(tmp_path)
+        model = json.loads((trained / "corpus.target.json").read_text(encoding="utf-8"))
+        (tmp_path / "target.json").write_text(with_integer(model, path, "9" * 401), encoding="utf-8")
+        cfg = write_config(tmp_path, target={"model_file": "target.json"})
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
+
     def test_eos_in_a_corpus_trained_against_a_model_vocabulary_fails(self, tmp_path, capsys):
         # The target's model file fixes the vocabulary, which always holds
         # <eos>; the whitespace tokenizer can read it from the corpus.
@@ -411,6 +423,18 @@ class TestTheory:
         assert len(stars) == 4  # one maximizer per (alpha, kind)
         assert (out / "theory.svg").exists()
         assert capsys.readouterr().out.count("best gamma=") == 4
+
+    def test_each_curve_point_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        speedup = theory.theoretical_speedup
+
+        def counted(*args):
+            calls.append(args)
+            return speedup(*args)
+
+        monkeypatch.setattr(theory, "theoretical_speedup", counted)
+        assert main(["theory", "--gamma-max", "40", "--out", str(tmp_path / "theory")]) == 0
+        assert len(calls) == 2 * 40  # drafter kinds x gammas
 
     @pytest.mark.parametrize(
         "flags",

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.config import read_corpus
+from speclab.drafter import DiffusionDrafter
+from speclab.engine import CostModel, run_episode
 from speclab.errors import (
     ConfigError,
     EmptyCorpus,
@@ -23,12 +25,14 @@ from speclab.ngram import (
     EOS_TOKEN,
     NGramModel,
     Vocabulary,
+    _SuffixTrie,
     argmax_token,
     build_vocab,
     load_model,
     save_model,
     train_ngram,
 )
+from speclab.policies import FailFast
 from speclab.tokenizers import detokenize, tokenize
 
 
@@ -59,6 +63,19 @@ def loop_counts(docs, order, vocabulary=None):
     return NGramModel(vocabulary, order, 0.1, counts)
 
 
+def backoff_distribution(counts, order, smoothing, size, context) -> np.ndarray:
+    """The reference lookup: the longest suffix of the window in ``counts``,
+    filled and normalised as one dense vector."""
+    level = tuple(context[max(0, len(context) - order + 1):])
+    while level not in counts:
+        level = level[1:]
+    bucket = counts[level]
+    probs = np.full(size, float(smoothing))
+    for tok, cnt in bucket.items():
+        probs[tok] += cnt
+    return probs / (sum(bucket.values()) + smoothing * size)
+
+
 def items(model: NGramModel) -> list:
     return [(ctx, list(b.items())) for ctx, b in model.counts.items()]
 
@@ -80,6 +97,11 @@ class TestVocabulary:
         vocab = build_vocab([list("ab")])
         with pytest.raises(UnknownToken):
             vocab.id_of("z")
+
+    def test_encode_names_the_unknown_token(self):
+        vocab = build_vocab([list("ab")])
+        with pytest.raises(UnknownToken, match="token not in vocabulary: 'z'"):
+            vocab.encode("abz")
 
     def test_reserved_eos_in_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -208,6 +230,8 @@ class TestPersistence:
             (["smoothing"], None),
             (["vocabulary"], "ab"),
             (["vocabulary"], ["a", "b"]),
+            pytest.param(["smoothing"], 10**400, id="path16-401-digits"),
+            (["counts", ""], {"a": 2**63, "b": 1}),
         ],
     )
     def test_malformed_fields_raise_io_error(self, tmp_path, path, value):
@@ -428,3 +452,103 @@ class TestTop:
         assert model_for(["abcab"], order=3).window([0, 1, 2, 0]) == (2, 0)
         assert model_for(["abcab"], order=3).window([1]) == (1,)
         assert model_for(["abcab"], order=1).window([0, 1]) == ()
+
+
+@st.composite
+def lookup_case(draw):
+    """A corpus, a table order, a view order in it, a smoothing (1e20 makes
+    every probability equal), windows over the vocabulary, <eos> included,
+    and a random source that drops contexts from the table."""
+    texts = draw(st.lists(st.text(alphabet="abc", max_size=12), min_size=1, max_size=4))
+    table_order = draw(st.integers(min_value=1, max_value=6))
+    order = draw(st.integers(min_value=1, max_value=table_order))
+    smoothing = draw(st.sampled_from([0.0, 0.1, 1.0, 1e20]))
+    symbols = st.sampled_from(["a", "b", "c", EOS_TOKEN])
+    contexts = draw(st.lists(st.lists(symbols, max_size=7), min_size=1, max_size=6))
+    rng = draw(st.randoms(use_true_random=False))
+    return [list(t) for t in texts], table_order, order, smoothing, contexts, rng
+
+
+class TestSuffixTrieLookups:
+    """Lookups walk the trie; they equal the longest-suffix backoff over the
+    position loop's dict, or over any dict holding ``()``, bit for bit, and
+    never build ``counts``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lookup_case())
+    def test_trained_views_and_dict_models_equal_the_backoff_oracle(self, case):
+        docs, table_order, order, smoothing, contexts, rng = case
+        try:
+            oracle = loop_counts(docs, table_order)
+        except EmptyCorpus:
+            return
+        counts = oracle.counts
+        vocab = oracle.vocabulary
+        # Not suffix-closed, as a model file may be.
+        sparse = {ctx: bucket for ctx, bucket in counts.items() if not ctx or rng.random() < 0.5}
+        models = (
+            (train_ngram(docs, table_order).with_order(order, smoothing), counts),
+            (oracle.with_order(order, smoothing), counts),
+            (NGramModel(vocab, order, smoothing, counts), counts),
+            (NGramModel(vocab, order, smoothing, sparse), sparse),
+        )
+        prefixes = [doc[:end] for doc in docs for end in range(len(doc) + 1)]  # windows that hit
+        for context in contexts + prefixes:
+            ids = [vocab.id_of(t) for t in context if t in vocab.tokens]
+            for model, table in models:
+                expected = backoff_distribution(table, order, smoothing, len(vocab), ids)
+                best = argmax_token(expected)
+                assert np.array_equal(model.next_distribution(ids), expected)
+                assert model.top(ids) == (best, float(expected[best]))
+
+    def test_a_file_that_is_not_suffix_closed_backs_off_to_its_longest_stored_suffix(self, tmp_path):
+        # "ab" is stored but its suffix "b" is not: the window "xb" backs off
+        # to "", and "ab" reads its own bucket. "abx" is stored but "bx" is
+        # not, so "xbx" backs off to "x"; so does "bxbx", whose longest
+        # suffix "xbx" is a node only as a suffix of the stored "axbx".
+        file = tmp_path / "m.json"
+        file.write_text(json.dumps({
+            "schema_version": 1,
+            "kind": "ngram-model",
+            "order": 5,
+            "smoothing": 0.5,
+            "vocabulary": ["a", "b", "x", EOS_TOKEN],
+            "counts": {
+                "": {"a": 1, "b": 2, "x": 1},
+                "a\u001fb": {"x": 3},
+                "x": {"a": 2},
+                "a\u001fb\u001fx": {"b": 1},
+                "a\u001fx\u001fb\u001fx": {"a": 1},
+            },
+        }))
+        model = load_model(file)
+        a, b, x, eos = range(4)
+        unigram = [1.5 / 6, 2.5 / 6, 1.5 / 6, 0.5 / 6]
+        assert model.next_distribution([x, b]).tolist() == unigram
+        assert model.next_distribution([b]).tolist() == unigram
+        assert model.next_distribution([eos, a, b]).tolist() == [0.5 / 5, 0.5 / 5, 3.5 / 5, 0.5 / 5]
+        assert model.next_distribution([x, b, x]).tolist() == [2.5 / 4, 0.5 / 4, 0.5 / 4, 0.5 / 4]
+        assert model.next_distribution([b, x, b, x]).tolist() == [2.5 / 4, 0.5 / 4, 0.5 / 4, 0.5 / 4]
+        assert model.next_distribution([a, x, b, x]).tolist() == [1.5 / 3, 0.5 / 3, 0.5 / 3, 0.5 / 3]
+        assert model.top([x, b]) == (b, 2.5 / 6)
+        assert model.top([a, b]) == (x, 3.5 / 5)
+        assert model.top([a, b, x]) == (b, 1.5 / 3)
+        assert list(model.counts) == [(), (a, b), (x,), (a, b, x), (a, x, b, x)]
+
+    def test_the_largest_count_a_table_holds_keeps_its_value(self):
+        # 300 counts of one token: more than the narrowest array type holds.
+        model = model_for(["a" * 299], order=1)
+        assert model.counts[()] == {0: 299, 1: 1}
+        assert model.top([]) == (0, 299 / 300)
+
+    def test_lookups_on_iid_lab_do_not_build_counts(self, iid_lab, monkeypatch):
+        def unread(trie):
+            raise AssertionError("a lookup read the counts dict")
+
+        monkeypatch.setattr(_SuffixTrie, "counts", property(unread))
+        target = iid_lab.target.with_order(iid_lab.target.order, 0.1)  # empty caches
+        drafter = DiffusionDrafter(iid_lab.drafter.backbone.with_order(4, 0.1))
+        for seed, prompt in enumerate(iid_lab.prompts(5)):
+            for verifier in ("greedy", "stochastic"):
+                run_episode(target, drafter, FailFast(), CostModel(), prompt, 48, verifier, seed)
+        assert target._cache and drafter.backbone._cache
