@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .drafter import DiffusionDrafter
 from .errors import (
@@ -135,17 +135,30 @@ class _TextFloat(dict):
 
     def __missing__(self, text: str) -> float:
         value = float(text)
+        if not math.isfinite(value):  # a literal past the float range, such as 1e400
+            _non_finite(text)
         if len(self) < _MEMO_CAP:
             self[text] = value
         return value
 
 
-_DECODER = json.JSONDecoder(parse_float=_TextFloat().__getitem__)
+def _non_finite(text: str) -> NoReturn:
+    """Refuse ``NaN``, ``Infinity`` and ``-Infinity``: JSON has no such numbers,
+    and a transcript that holds one holds no speedup."""
+    raise IoError(f"transcript is malformed: non-finite number {text}")
+
+
+_DECODER = json.JSONDecoder(parse_float=_TextFloat().__getitem__, parse_constant=_non_finite)
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Everything one propose-verify round contributed to the episode."""
+    """Everything one propose-verify round contributed to the episode.
+
+    Under greedy verification ``run_workload`` hands one record to every
+    transcript of the call whose round starts at the same window, lists
+    included, so a record is read-only: copy it to change it.
+    """
 
     proposed_len: int
     accepted_len: int
@@ -176,8 +189,9 @@ _ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
 
 def _round_columns(rounds: list) -> dict[str, list]:
     """The loaded round objects as one checked column per ``RoundRecord``
-    field, in field order: each value has its field's type and each round
-    is one that verification could have produced."""
+    field, in field order: each value has its field's type, each round is
+    one that verification could have produced (``bonus`` exactly when the
+    whole draft was accepted) and no latency is negative."""
     columns = {name: [r[name] for r in rounds] for name in _ROUND_FIELDS}
     kinds = columns["replacement_kind"]
     if kinds.count(BONUS) + kinds.count(CORRECTION) != len(kinds):
@@ -190,9 +204,9 @@ def _round_columns(rounds: list) -> dict[str, list]:
     columns["confidences"] = _list_column(float, columns["confidences"], "confidences")
     for name in ("draft_latency", "verify_latency"):
         columns[name] = _column(float, columns[name], name)
-    for accepted, proposed, tokens, confidences, passes in zip(
+    for accepted, proposed, tokens, confidences, passes, kind in zip(
         columns["accepted_len"], columns["proposed_len"], columns["proposed_tokens"],
-        columns["confidences"], columns["drafter_passes"],
+        columns["confidences"], columns["drafter_passes"], kinds,
     ):
         if not (0 <= accepted <= proposed == len(tokens) == len(confidences) and passes >= 0):
             raise IoError(
@@ -200,7 +214,37 @@ def _round_columns(rounds: list) -> dict[str, list]:
                 f"proposed_len {proposed}, {len(tokens)} proposed_tokens, "
                 f"{len(confidences)} confidences and drafter_passes {passes}"
             )
+        if (kind == BONUS) != (accepted == proposed):
+            raise IoError(
+                f"transcript is malformed: a round that accepted {accepted} of "
+                f"{proposed} tokens ends in a {kind}"
+            )
+    for name in ("draft_latency", "verify_latency"):
+        # min() can pass over a NaN; the totals check sums it and catches it.
+        if not min(columns[name], default=0.0) >= 0.0:
+            raise IoError(f"transcript is malformed: a round has {name} {min(columns[name])}")
     return columns
+
+
+def _check_totals(t: "Transcript", columns: dict[str, list]) -> None:
+    """The latency totals and the speedup must be what ``run_episode`` derives
+    from the rounds, bit for bit, and finite."""
+    for name in ("draft_latency", "verify_latency"):
+        if getattr(t, name) != math.fsum(columns[name]):
+            raise IoError(f"transcript is malformed: {name} {getattr(t, name)} is not the rounds' sum")
+    if t.total_latency != t.draft_latency + t.verify_latency or not math.isfinite(t.total_latency):
+        raise IoError(
+            f"transcript is malformed: total_latency {t.total_latency} is not "
+            "draft_latency + verify_latency, or not finite"
+        )
+    if not (math.isfinite(t.vanilla_latency) and t.vanilla_latency >= 0.0):
+        raise IoError(f"transcript is malformed: vanilla_latency {t.vanilla_latency}")
+    speedup = t.vanilla_latency / t.total_latency if t.total_latency > 0 else 0.0
+    if t.speedup != speedup:
+        raise IoError(
+            f"transcript is malformed: speedup {t.speedup} is not "
+            "vanilla_latency / total_latency"
+        )
 
 
 def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None:
@@ -285,6 +329,7 @@ class Transcript:
                 vanilla_latency=_number(float, obj["vanilla_latency"], "vanilla_latency"),
                 speedup=_number(float, obj["speedup"], "speedup"),
             )
+            _check_totals(t, columns)
         except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
         proposed = list(chain.from_iterable(columns["proposed_tokens"]))
@@ -337,6 +382,7 @@ def run_episode(
     verifier: str = VERIFIER_GREEDY,
     seed: int | Sequence[int] = 0,
     config_snapshot: dict | None = None,
+    memo: dict | None = None,
 ) -> Transcript:
     """Run one propose-verify episode and return its transcript.
 
@@ -344,6 +390,15 @@ def run_episode(
     target emits ``<eos>`` (the marker itself never appears in the output).
     Bonus and correction tokens ride along with the verify round at zero
     extra latency.
+
+    ``memo`` is a dict shared by episodes of one target, drafter, policy and
+    cost (``run_workload`` passes one per call). A greedy round reads only
+    the window of whichever of ``target`` and the drafter's backbone has
+    the higher order, so the memo keeps each round under that window, with
+    the tokens it commits and whether ``<eos>`` ended the episode; a later
+    round at the same window reuses that ``RoundRecord`` object and neither
+    drafts nor verifies. Stochastic rounds draw from the episode's RNG and
+    ignore the memo.
     """
     if target.vocabulary.tokens != drafter.backbone.vocabulary.tokens:
         raise VocabularyMismatch("target and drafter must share one vocabulary")
@@ -354,12 +409,10 @@ def run_episode(
     eos = target.vocabulary.eos_id
     seed_list = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     rng = np.random.default_rng(seed_list)
-    prompt = list(prompt)
-    output: list[int] = []
-    rounds: list[RoundRecord] = []
-    done = False
-    while not done and len(output) < max_tokens:
-        prefix = prompt + output
+
+    def play(prefix: list[int]) -> tuple[RoundRecord, list[int], bool]:
+        """Draft and verify one round after ``prefix``: its record, the tokens
+        it commits (cut before ``<eos>``), and whether ``<eos>`` ended the episode."""
         proposal = policy.propose(drafter, prefix)
         if eos in proposal.tokens:
             proposal = proposal.head(proposal.tokens.index(eos) + 1)
@@ -367,23 +420,40 @@ def run_episode(
             result = verify_greedy(target, prefix, proposal)
         else:
             result = verify_stochastic(target, prefix, proposal, rng)
-        committed = proposal.tokens[: result.accepted_len] + [result.replacement]
-        rounds.append(
-            RoundRecord(
-                proposed_len=len(proposal.tokens),
-                accepted_len=result.accepted_len,
-                drafter_passes=proposal.forward_passes,
-                replacement_kind=result.replacement_kind,
-                proposed_tokens=list(proposal.tokens),
-                replacement_token=result.replacement,
-                confidences=list(proposal.confidences),
-                draft_latency=cost.draft_latency(proposal.forward_passes),
-                verify_latency=cost.verify_latency(len(proposal.tokens) + 1),
-            )
+        record = RoundRecord(  # fields in order; keywords would cost a third more per round
+            len(proposal.tokens),
+            result.accepted_len,
+            proposal.forward_passes,
+            result.replacement_kind,
+            list(proposal.tokens),
+            result.replacement,
+            list(proposal.confidences),
+            cost.draft_latency(proposal.forward_passes),
+            cost.verify_latency(len(proposal.tokens) + 1),
         )
+        committed = proposal.tokens[: result.accepted_len] + [result.replacement]
         if eos in committed:
-            committed = committed[: committed.index(eos)]
-            done = True
+            return record, committed[: committed.index(eos)], True
+        return record, committed, False
+
+    if verifier != VERIFIER_GREEDY:
+        memo = None
+    widest = max(target, drafter.backbone, key=lambda model: model.order)
+    prompt = list(prompt)
+    output: list[int] = []
+    rounds: list[RoundRecord] = []
+    done = False
+    while not done and len(output) < max_tokens:
+        prefix = prompt + output
+        if memo is None:
+            played = play(prefix)
+        else:
+            key = widest.window(prefix)
+            played = memo.get(key)
+            if played is None:
+                played = memo[key] = play(prefix)
+        record, committed, done = played
+        rounds.append(record)
         output.extend(committed)
         if len(output) >= max_tokens:
             del output[max_tokens:]
@@ -425,12 +495,19 @@ class SweepCase:
 def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Transcript]:
     """Run every prompt through one case; prompt ``i`` uses seed (case.seed, i).
 
+    Every episode gets the same fresh ``memo`` dict, so under greedy
+    verification a round is drafted and verified once per distinct window
+    in the call, and transcripts share its ``RoundRecord``; the transcripts
+    equal those of ``run_episode`` called without a memo.
+
     ``run_episode`` is looked up by its module name on every call and gets
-    ``seed`` and ``config_snapshot`` as keywords, so a caller can patch
-    ``engine.run_episode`` to time or trace each episode and read both.
+    ``seed``, ``config_snapshot`` and ``memo`` as keywords, so a caller can
+    patch ``engine.run_episode`` to time or trace each episode and read the
+    first two; a wrapper must pass ``memo`` on unchanged.
     """
     if not prompts:
         raise EmptyWorkload("no prompts to run")
+    memo: dict = {}
     return [
         run_episode(
             case.target,
@@ -442,6 +519,7 @@ def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Tran
             verifier=case.verifier,
             seed=[case.seed, i],
             config_snapshot=case.config_snapshot,
+            memo=memo,
         )
         for i, prompt in enumerate(prompts)
     ]

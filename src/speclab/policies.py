@@ -133,4 +133,9 @@ class FailFast:
         )
 
 
+# A policy is any of these: ``propose(drafter, prefix)`` returns a
+# ``DraftProposal`` that is a function of the policy's settings and of the
+# drafter's backbone window of ``prefix`` alone, never of what came before it
+# or of which blocks the drafter has cached. ``engine.run_episode`` relies on
+# it to reuse a greedy round at a window it has already drafted.
 Policy = Union[FixedAR, FixedDLLM, FailFast]

@@ -79,7 +79,7 @@ def synth(round_specs, *, drop=0):
 
 class TestSummarize:
     def test_two_round_oracle(self):
-        t = synth([(10, 7, "bonus", 1), (10, 7, "correction", 1)])
+        t = synth([(10, 7, "correction", 1), (10, 7, "correction", 1)])
         stats = summarize(t)
         assert stats.acceptance_rate == pytest.approx(0.7, abs=1e-15)
         assert stats.avg_accepted_len == 7.0
@@ -156,11 +156,11 @@ class TestSummarize:
 
 class TestEasyHardFlags:
     def test_accepted_and_bonus_are_easy_corrections_hard(self):
-        t = synth([(5, 3, "bonus", 1), (5, 2, "correction", 1)])
+        t = synth([(3, 3, "bonus", 1), (5, 2, "correction", 1)])
         assert easy_hard_flags(t) == [EASY] * 4 + [EASY, EASY, HARD]
 
     def test_flags_are_cut_to_the_committed_output(self):
-        t = synth([(5, 3, "bonus", 1), (5, 2, "correction", 1)], drop=2)
+        t = synth([(3, 3, "bonus", 1), (5, 2, "correction", 1)], drop=2)
         assert easy_hard_flags(t) == [EASY] * 5
         assert len(easy_hard_flags(t)) == len(t.output)
 
@@ -184,7 +184,7 @@ class TestEasyHardFlags:
 
 class TestRaster:
     def test_rows_are_padded_with_absent(self):
-        long = synth([(5, 4, "bonus", 1)])  # 5 tokens
+        long = synth([(4, 4, "bonus", 1)])  # 5 tokens
         short = synth([(5, 1, "correction", 1)])  # 2 tokens
         raster = build_raster([long, short])
         assert raster.width == 5

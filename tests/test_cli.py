@@ -505,3 +505,18 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_a_non_finite_number_fails_with_one_error_line(self, run_out, tmp_path, capsys):
+        text = (run_out / "transcript_0000.json").read_text(encoding="utf-8")
+        t = json.loads(text)
+        text = text.replace(f'"speedup":{json.dumps(t["speedup"])}', '"speedup":NaN')
+        text = text.replace(f'"total_latency":{json.dumps(t["total_latency"])}', '"total_latency":Infinity')
+        assert "NaN" in text and "Infinity" in text
+        path = tmp_path / "transcript_0000.json"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+        assert "non-finite number" in err[0]
+        assert not (tmp_path / "summary.csv").exists()

@@ -12,6 +12,8 @@ The two closed-form episodes used here bracket the speedup range:
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ from speclab.errors import (
     VocabularyMismatch,
 )
 from speclab.ngram import build_vocab, train_ngram
-from speclab.policies import FailFast, FixedAR, FixedDLLM
+from speclab.policies import FailFast, FixedAR, FixedDLLM, Policy
+from speclab.tokenizers import tokenize
 from speclab.verifier import vanilla_decode
 
 
@@ -391,3 +394,198 @@ class TestWorkloads:
         (t,) = run_workload(case, prompts)
         assert t.config == snapshot
         assert json.loads(t.to_json())["config"] == snapshot
+
+
+def memo_free(case, prompts):
+    """``run_workload`` without its memo: one plain ``run_episode`` per prompt."""
+    return [
+        run_episode(
+            case.target, case.drafter, case.policy, case.cost, prompt, case.max_tokens,
+            verifier=case.verifier, seed=[case.seed, i], config_snapshot=case.config_snapshot,
+        )
+        for i, prompt in enumerate(prompts)
+    ]
+
+
+def memo_prompts(lab):
+    """Sampled prompts, prompts shorter than any window, document tails (on
+    the iid corpus the target ends some of them at ``<eos>``), and repeats."""
+    prompts = lab.prompts(10, seed=61) + lab.prompts(4, length=2, seed=62)
+    prompts += [lab.target.vocabulary.encode(tokenize(doc[-12:], "char")) for doc in lab.docs[:8]]
+    return prompts + prompts[:3]
+
+
+def commits(t):
+    """Tokens the rounds of ``t`` commit before any cut."""
+    return sum(r.accepted_len + 1 for r in t.rounds)
+
+
+# (target order, drafter order) as views of each lab's table; None keeps the lab's model.
+ORDERS = {
+    "trained": (None, None),
+    "order-1": (1, 1),
+    "order-1-drafter": (None, 1),
+    "drafter-above-target": (2, None),
+}
+
+
+def models(lab, orders):
+    target_order, drafter_order = ORDERS[orders]
+    target = lab.target if target_order is None else lab.target.with_order(target_order, 0.1)
+    if drafter_order is None:
+        return target, lab.drafter
+    return target, DiffusionDrafter(lab.drafter.backbone.with_order(drafter_order, 0.1))
+
+
+@dataclass(frozen=True)
+class CountingPolicy:
+    """A policy that records the prefix of every ``propose`` call."""
+
+    inner: Policy
+    prefixes: list = field(default_factory=list)
+
+    def propose(self, drafter, prefix):
+        self.prefixes.append(list(prefix))
+        return self.inner.propose(drafter, prefix)
+
+
+class TestRoundMemo:
+    """``run_workload`` serves repeated greedy rounds from a memo keyed by window."""
+
+    MAX_TOKENS = 37
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    @pytest.mark.parametrize("lab_name", ["mixed_lab", "iid_lab"])
+    def test_workload_equals_the_memo_free_loop(self, request, lab_name, orders):
+        lab = request.getfixturevalue(lab_name)
+        target, drafter = models(lab, orders)
+        prompts = memo_prompts(lab)
+        cut = ended = False
+        for policy in (FixedAR(3), FixedDLLM(6), FixedDLLM(13, ONE_STEP), FailFast()):
+            case = SweepCase(
+                label="memo", target=target, drafter=drafter, policy=policy,
+                max_tokens=self.MAX_TOKENS, config_snapshot={"label": "memo"},
+            )
+            got = run_workload(case, prompts)
+            assert [t.to_json() for t in got] == [t.to_json() for t in memo_free(case, prompts)]
+            # Repeated prompts replay their rounds, so records are shared.
+            assert len({id(r) for t in got for r in t.rounds}) < sum(len(t.rounds) for t in got)
+            cut |= any(commits(t) > len(t.output) == self.MAX_TOKENS for t in got)
+            ended |= any(len(t.output) < self.MAX_TOKENS for t in got)
+        if orders == "trained":
+            assert cut  # max_tokens cut a round in the middle
+            assert ended == (lab_name == "iid_lab")  # the mixed target never predicts <eos>
+
+    def test_a_stochastic_workload_bypasses_the_memo(self, mixed_lab):
+        prompts = memo_prompts(mixed_lab)
+        for inner in (FixedDLLM(6), FailFast()):
+            policy = CountingPolicy(inner)
+            case = SweepCase(
+                label="stochastic", target=mixed_lab.target, drafter=mixed_lab.drafter,
+                policy=policy, verifier="stochastic", max_tokens=self.MAX_TOKENS, seed=5,
+            )
+            got = run_workload(case, prompts)
+            assert len(policy.prefixes) == sum(len(t.rounds) for t in got)
+            assert [t.to_json() for t in got] == [t.to_json() for t in memo_free(case, prompts)]
+
+    @pytest.mark.parametrize("orders", ["trained", "drafter-above-target"])
+    @pytest.mark.parametrize("lab_name", ["mixed_lab", "iid_lab"])
+    def test_each_distinct_window_is_proposed_once(self, request, lab_name, orders):
+        lab = request.getfixturevalue(lab_name)
+        target, drafter = models(lab, orders)
+        widest = max(target, drafter.backbone, key=lambda model: model.order)
+        policy = CountingPolicy(FailFast())
+        case = SweepCase(
+            label="count", target=target, drafter=drafter, policy=policy, max_tokens=self.MAX_TOKENS
+        )
+        transcripts = run_workload(case, memo_prompts(lab))
+        proposed = [widest.window(prefix) for prefix in policy.prefixes]
+        started = set()
+        for t in transcripts:
+            out = list(t.prompt)
+            for r in t.rounds:
+                started.add(widest.window(out))
+                out += r.proposed_tokens[: r.accepted_len] + [r.replacement_token]
+        assert len(proposed) == len(set(proposed))
+        assert set(proposed) == started
+        assert len(proposed) < sum(len(t.rounds) for t in transcripts)
+
+
+class TestDerivedFields:
+    """The loader recomputes every derived number of a v1 transcript."""
+
+    @pytest.fixture
+    def payload(self, mixed_lab):
+        prompt = mixed_lab.prompts(1, seed=71)[0]
+        t = run_episode(mixed_lab.target, mixed_lab.drafter, FailFast(), CostModel(), prompt, 80)
+        assert {r.replacement_kind for r in t.rounds} == {"bonus", "correction"}
+        return json.loads(t.to_json())
+
+    @staticmethod
+    def retotal(payload):
+        """Recompute the top-level numbers from the rounds, as ``run_episode`` does."""
+        payload["draft_latency"] = math.fsum(r["draft_latency"] for r in payload["rounds"])
+        payload["verify_latency"] = math.fsum(r["verify_latency"] for r in payload["rounds"])
+        payload["total_latency"] = payload["draft_latency"] + payload["verify_latency"]
+        payload["speedup"] = payload["vanilla_latency"] / payload["total_latency"]
+        return payload
+
+    def test_the_unchanged_payload_loads(self, payload):
+        assert Transcript.from_dict(self.retotal(payload)).to_dict() == payload
+
+    @pytest.mark.parametrize("kind", ["bonus", "correction"])
+    def test_the_kind_follows_acceptance(self, payload, kind):
+        r = next(r for r in payload["rounds"] if r["replacement_kind"] != kind)
+        r["replacement_kind"] = kind
+        with pytest.raises(IoError, match=f"ends in a {kind}"):
+            Transcript.from_dict(payload)
+
+    @pytest.mark.parametrize("name", ["draft_latency", "verify_latency"])
+    def test_a_round_latency_is_not_negative(self, payload, name):
+        payload["rounds"][0][name] = -0.05
+        with pytest.raises(IoError, match=f"a round has {name} -0.05"):
+            Transcript.from_dict(self.retotal(payload))
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("draft_latency", 1e-9, "draft_latency .* is not the rounds' sum"),
+            ("verify_latency", 1e-9, "verify_latency .* is not the rounds' sum"),
+            ("total_latency", 1e-9, "is not draft_latency \\+ verify_latency"),
+            ("speedup", 1e-9, "is not vanilla_latency / total_latency"),
+            ("vanilla_latency", -1e3, "vanilla_latency"),
+        ],
+    )
+    def test_a_total_off_by_any_amount_is_rejected(self, payload, name, value, message):
+        payload[name] += value
+        if name == "vanilla_latency":
+            payload = self.retotal(payload)
+        with pytest.raises(IoError, match=message):
+            Transcript.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_totals_are_rejected(self, payload, value):
+        for name in ("total_latency", "vanilla_latency"):
+            changed = dict(payload, **{name: value})
+            with pytest.raises(IoError, match="malformed"):
+                Transcript.from_dict(changed)
+        payload["rounds"][0]["draft_latency"] = value
+        with pytest.raises(IoError, match="malformed"):
+            Transcript.from_dict(self.retotal(payload))
+
+    def test_the_contradictory_transcript_of_the_roadmap(self, payload, tmp_path):
+        payload.update(speedup=99.0, total_latency=0.001)
+        bonus = next(r for r in payload["rounds"] if r["replacement_kind"] == "bonus")
+        bonus["replacement_kind"] = "correction"
+        payload["rounds"][-1]["draft_latency"] = -5.0
+        path = tmp_path / "transcript_0000.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IoError, match="malformed"):
+            Transcript.load(path)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_json_numbers_fail_naming_the_file(self, payload, tmp_path, text):
+        path = tmp_path / "transcript_0000.json"
+        path.write_text(json.dumps(payload).replace('"speedup":', f'"speedup": {text}, "_":'), encoding="utf-8")
+        with pytest.raises(IoError, match=f"{path}: transcript is malformed: non-finite number {text}"):
+            Transcript.load(path)

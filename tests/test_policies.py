@@ -285,3 +285,46 @@ class TestFixedARIsTheModalChain:
             assert got.forward_passes == n
             assert len(got.distributions) == n
             assert all(np.array_equal(g, w) for g, w in zip(got.distributions, distributions))
+
+
+class TestProposalIsAFunctionOfTheWindow:
+    """``engine.run_episode`` memoizes greedy rounds by window, which holds only
+    if every policy's proposal reads nothing of the prefix before the
+    drafter's backbone window. Each side gets a cold drafter, so no cache
+    can hand the second prefix the first one's answer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=st.sampled_from(["mixed", "eos"]),
+        family=st.sampled_from(["fixed_ar", ONE_STEP, "confidence_aware", "failfast"]),
+        size=st.sampled_from([4, 8]),
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=24),
+        step=st.integers(min_value=1, max_value=12),
+        extra=st.integers(min_value=0, max_value=30),
+        threshold=st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_prefixes_sharing_the_window_get_equal_proposals(
+        self, warm_failfast, corpus, family, size, data, n, step, extra, threshold
+    ):
+        backbone = warm_failfast[corpus, size][0].backbone
+        ids = st.integers(min_value=0, max_value=len(backbone.vocabulary) - 1)
+        window = data.draw(st.lists(ids, min_size=backbone.order - 1, max_size=backbone.order - 1))
+        heads = [data.draw(st.lists(ids, max_size=6)) for _ in range(2)]
+        policy = {
+            "fixed_ar": FixedAR(n),
+            ONE_STEP: FixedDLLM(n, ONE_STEP),
+            "confidence_aware": FixedDLLM(n),
+            "failfast": FailFast(FailFastConfig(step, threshold, step + extra)),
+        }[family]
+        first, second = (
+            policy.propose(
+                DiffusionDrafter(backbone.with_order(backbone.order, backbone.smoothing), block_size=size),
+                head + window,
+            )
+            for head in heads
+        )
+        assert first.tokens == second.tokens
+        assert first.confidences == second.confidences
+        assert first.forward_passes == second.forward_passes
+        assert all(np.array_equal(a, b) for a, b in zip(first.distributions, second.distributions, strict=True))

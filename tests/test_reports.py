@@ -96,6 +96,7 @@ class TestLoadTranscripts:
     def test_roundless_transcript_is_rejected(self, tmp_path):
         t = tiny_transcript()
         t.rounds = []
+        t.draft_latency = t.verify_latency = t.total_latency = t.speedup = 0.0  # what no rounds add up to
         t.save(tmp_path / "transcript_0000.json")
         with pytest.raises(EmptyTranscript):
             load_transcripts(tmp_path)
