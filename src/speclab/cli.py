@@ -14,7 +14,7 @@ import re
 import sys
 
 from .config import load_config, materialize
-from .engine import SweepCase, run_workload
+from .engine import VERIFIER_KINDS, SweepCase, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import SUMMARY_COLUMNS, render_report, summary_row, write_summary_csv
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--max-tokens", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--verifier", choices=["greedy", "stochastic"])
+        p.add_argument("--verifier", choices=VERIFIER_KINDS)
         p.set_defaults(func=fn)
 
     p_theory = sub.add_parser("theory", help="closed-form speedup curves and maximizers")

@@ -20,7 +20,7 @@ from .drafter import DiffusionDrafter, check_settings
 from .engine import CostModel, SweepCase, VERIFIER_KINDS, VERIFIER_STOCHASTIC
 from .errors import ConfigError, EmptyCorpus, IoError, check_number
 from .ngram import NGramModel, Vocabulary, load_model, train_ngram
-from .policies import FailFast, FailFastConfig, FixedAR, FixedDLLM, Policy
+from .policies import FailFast, FixedAR, FixedDLLM, Policy
 from .tokenizers import TOKENIZER_KINDS, detokenize, tokenize
 
 _Scalar = (str, int, float, bool, type(None))
@@ -43,9 +43,8 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"order", "smoothing", "model_file"}
 _DRAFTER_KEYS = _MODEL_KEYS | {"block_size", "unmask_threshold"}
 _SAMPLE_KEYS = {"count", "length", "seed"}
-# Each policy kind's settings are the fields of the class that takes them
-# (``fail_fast``'s are wrapped in ``FailFast``); the class defaults and checks them.
-_POLICY_CLASSES = {"fixed_ar": FixedAR, "fixed_dllm": FixedDLLM, "fail_fast": FailFastConfig}
+# Each policy kind's settings are the fields of its class, which defaults and checks them.
+_POLICY_CLASSES = {"fixed_ar": FixedAR, "fixed_dllm": FixedDLLM, "fail_fast": FailFast}
 _POLICY_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in _POLICY_CLASSES.items()}
 _POLICY_REQUIRED = {
     kind: [f.name for f in fields(cls) if f.default is MISSING] for kind, cls in _POLICY_CLASSES.items()
@@ -174,8 +173,7 @@ def parse_policy(obj: dict) -> Policy:
     for name in _POLICY_REQUIRED[kind]:
         if name not in obj:
             raise ConfigError(f"{kind} policy needs {name}")
-    policy = _POLICY_CLASSES[kind](**{k: v for k, v in obj.items() if k in _POLICY_KEYS[kind]})
-    return FailFast(policy) if kind == "fail_fast" else policy
+    return _POLICY_CLASSES[kind](**{k: v for k, v in obj.items() if k in _POLICY_KEYS[kind]})
 
 
 class ResolvedRun(NamedTuple):

@@ -62,6 +62,7 @@ class CostModel:
         if self.draft_pass_cost < 0 or self.verify_round_cost <= 0:
             raise ConfigError("pass costs must be positive")
         check_number(self.verify_token_cutoff, int, "cost verify_token_cutoff", at_least=1)
+        check_number(self.verify_token_cutoff, float, "cost verify_token_cutoff")  # ``excess`` divides by it
         if self.verify_excess_cost is not None:
             check_number(self.verify_excess_cost, float, "cost verify_excess_cost", at_least=0)
         if self.decode_pass_cost is not None:
@@ -250,7 +251,8 @@ def _check_totals(t: "Transcript", columns: dict[str, list]) -> None:
 def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None:
     """``output`` must be what the rounds commit, each ``proposed_tokens[:accepted_len]
     + [replacement_token]``, cut at the first ``<eos>``; or a prefix of that
-    which ends inside the last round, where ``max_tokens`` cut it."""
+    which ends inside the last round, where ``max_tokens`` cut it. The round
+    that commits ``<eos>`` ends the episode, so it must be the last."""
     commits: list[int] = []
     for tokens, accepted, replacement in zip(
         columns["proposed_tokens"], columns["accepted_len"], columns["replacement_token"]
@@ -259,7 +261,10 @@ def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None
         commits += tokens[:accepted]
         commits.append(replacement)
     if eos in commits:
-        del commits[commits.index(eos):]
+        end = commits.index(eos)
+        if end < before_last:
+            raise IoError("transcript is malformed: a round follows the round that committed <eos>")
+        del commits[end:]
     n = len(output)
     if output != commits[:n] or not (n == len(commits) or n > before_last):
         raise IoError("transcript is malformed: output is not what the rounds commit")
@@ -341,8 +346,9 @@ class Transcript:
         return t
 
     def to_json(self) -> str:
-        """``to_dict`` as compact JSON; ``from_json`` reads any layout."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """``to_dict`` as compact JSON; ``from_json`` reads any layout. A
+        non-finite number raises ``ValueError``: JSON has none."""
+        return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
@@ -351,7 +357,10 @@ class Transcript:
         return cls.from_dict(_DECODER.decode(text))
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        text = self.to_json()  # first, so a value JSON rejects leaves no file
+        try:
+            text = self.to_json()  # first, so a value JSON rejects leaves no file
+        except ValueError as exc:
+            raise IoError(f"cannot write transcript {path}: {exc}") from exc
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)

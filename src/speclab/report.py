@@ -13,6 +13,7 @@ import json
 import os
 
 from .analysis import (
+    EasyHardRaster,
     SummaryStats,
     accepted_length_cdf,
     build_raster,
@@ -145,6 +146,12 @@ def render_report(
     paths = {name: os.path.join(out, name) for name in (
         "summary.csv", "metrics.json", "raster.svg", "cdf.svg", "breakdown.svg", "trajectory.txt",
     )}
+    # One raster row per transcript; each group's easy-run ratios read its own
+    # rows, whose padding to the full raster's width they skip.
+    raster = build_raster(transcripts)
+    group_rows: dict[str, list[list[str]]] = {}
+    for t, flags in zip(transcripts, raster.rows):
+        group_rows.setdefault(_group_label(t), []).append(flags)
     rows = []
     metrics: dict = {"schema_version": REPORT_SCHEMA_VERSION, "groups": []}
     cdf_series = []
@@ -167,7 +174,9 @@ def render_report(
                     "verify_share": lat.verify_share,
                 },
                 "easy_run_thresholds": list(EASY_RUN_THRESHOLDS),
-                "easy_run_ratio": consecutive_easy_ratio(build_raster(group), EASY_RUN_THRESHOLDS),
+                "easy_run_ratio": consecutive_easy_ratio(
+                    EasyHardRaster(group_rows[label]), EASY_RUN_THRESHOLDS
+                ),
                 "accepted_len_cdf": [[v, f] for v, f in acc_cdf],
                 "speculated_len_cdf": [[v, f] for v, f in spec_cdf],
             }
@@ -179,7 +188,7 @@ def render_report(
 
     artifacts = {
         "metrics.json": json.dumps(metrics, indent=1) + "\n",
-        "raster.svg": render_raster(build_raster(transcripts).rows),
+        "raster.svg": render_raster(raster.rows),
         "cdf.svg": render_step_cdfs(cdf_series),
         "breakdown.svg": render_breakdown(breakdown_entries),
         "trajectory.txt": _trajectory_text(transcripts),

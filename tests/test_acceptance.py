@@ -65,7 +65,7 @@ from speclab.corpora import sample_prompts
 from speclab.drafter import ONE_STEP, DiffusionDrafter, DraftProposal
 from speclab.engine import CostModel, RoundRecord, SweepCase, Transcript, run_episode, run_workload
 from speclab.ngram import argmax_token, train_ngram
-from speclab.policies import FailFast, FailFastConfig, FixedAR, FixedDLLM, propose_failfast
+from speclab.policies import FailFast, FixedAR, FixedDLLM
 from speclab.report import render_report
 from speclab.theory import (
     DRAFTER_AR,
@@ -384,14 +384,14 @@ def test_adaptive_length_invariants():
         # Pinned behaviours on closed-form corpora.
         confident = DiffusionDrafter(train_ngram([list("a" * 100)], order=2, smoothing=0.0))
         prefix = [confident.backbone.vocabulary.id_of("a")]
-        assert len(propose_failfast(confident, prefix, FailFastConfig()).tokens) == 60
+        assert len(FailFast().propose(confident, prefix).tokens) == 60
 
         split = DiffusionDrafter(
             train_ngram([list("ab" * 20), list("ac" * 20)], order=2, smoothing=0.0)
         )
         prefix = [split.backbone.vocabulary.id_of("a")]
-        cfg = FailFastConfig(confidence_threshold=0.6)
-        assert len(propose_failfast(split, prefix, cfg).tokens) == cfg.step_size
+        cfg = FailFast(confidence_threshold=0.6)
+        assert len(cfg.propose(split, prefix).tokens) == cfg.step_size
 
         # Randomized corpora: chunk-aligned, capped, or cut just after the
         # end-of-text marker; never past the cap.
@@ -400,8 +400,8 @@ def test_adaptive_length_invariants():
             drafter, prefix = _random_setup(int(rng.integers(0, 10_000)))
             step = int(rng.integers(2, 13))
             tau = float(rng.uniform(0.05, 0.95))
-            cfg = FailFastConfig(step_size=step, confidence_threshold=tau, max_length=36)
-            proposal = propose_failfast(drafter, prefix, cfg)
+            cfg = FailFast(step_size=step, confidence_threshold=tau, max_length=36)
+            proposal = cfg.propose(drafter, prefix)
             n = len(proposal.tokens)
             eos = drafter.backbone.vocabulary.eos_id
             assert 1 <= n <= cfg.max_length
@@ -412,8 +412,8 @@ def test_adaptive_length_invariants():
             drafter, prefix = _random_setup(int(rng.integers(0, 10_000)))
             low = float(rng.uniform(0.05, 0.85))
             high = min(low + float(rng.uniform(0.01, 0.1)), 0.99)
-            lenient = propose_failfast(drafter, prefix, FailFastConfig(confidence_threshold=low))
-            strict = propose_failfast(drafter, prefix, FailFastConfig(confidence_threshold=high))
+            lenient = FailFast(confidence_threshold=low).propose(drafter, prefix)
+            strict = FailFast(confidence_threshold=high).propose(drafter, prefix)
             assert len(strict.tokens) <= len(lenient.tokens)
 
 

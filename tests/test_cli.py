@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from speclab import theory
 from speclab.cli import OUTPUT_DIR_ENV, main
 from speclab.config import load_config, materialize
+from speclab.engine import Transcript
 from speclab.ngram import load_model
 from speclab.report import SUMMARY_COLUMNS
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "workloads")
 
 CORPUS = (
     "the cat sat on the mat and then the cat sat on the mat again\n"
@@ -228,6 +231,23 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_a_non_finite_latency_fails_with_one_error_line_and_no_bad_transcript(self, tmp_path, capsys):
+        # Two drafter passes at 1e308 each add up to a latency of inf.
+        cfg = load_config(os.path.join(WORKLOADS, "mixed_failfast.json"))
+        for key in ("train_corpus", "prompt_file"):
+            cfg[key] = os.path.join(WORKLOADS, cfg[key])
+        cfg.update(cost={"draft_pass_cost": 1e308}, max_tokens=16)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write transcript ")
+        assert str(out) in err[0]
+        for saved in out.glob("transcript_*.json"):
+            Transcript.load(saved)
 
     def test_negative_seed_flag_fails_with_one_error_line(self, tmp_path, capsys):
         write_corpus(tmp_path)

@@ -181,9 +181,8 @@ class TestParsePolicy:
             {"kind": "fixed_dllm", "draft_len": 8, "mode": "one_step"}
         ) == FixedDLLM(8, "one_step")
         ff = parse_policy({"kind": "fail_fast", "confidence_threshold": 0.3})
-        assert isinstance(ff, FailFast)
-        assert ff.config.confidence_threshold == 0.3
-        assert ff.config.step_size == 10  # untouched defaults
+        assert ff == FailFast(confidence_threshold=0.3)
+        assert ff.step_size == 10  # untouched defaults
 
     def test_missing_draft_len(self):
         with pytest.raises(ConfigError, match="fixed_ar policy needs draft_len"):
@@ -381,6 +380,7 @@ class TestOneTablePerCorpus:
             ({"cost": {"verify_excess_cost": float("inf")}}, "verify_excess_cost must be finite"),
             ({"cost": {"decode_pass_cost": float("-inf")}}, "decode_pass_cost must be finite"),
             ({"policy": {"kind": "fail_fast", "confidence_threshold": float("nan")}}, "confidence"),
+            ({"cost": {"verify_token_cutoff": 10**400}}, "verify_token_cutoff"),
         ],
     )
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):

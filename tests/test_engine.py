@@ -573,6 +573,18 @@ class TestDerivedFields:
         with pytest.raises(IoError, match="malformed"):
             Transcript.from_dict(self.retotal(payload))
 
+    def test_no_round_follows_the_round_that_committed_eos(self, iid_lab):
+        episodes = (
+            run_episode(iid_lab.target, iid_lab.drafter, FailFast(), CostModel(), prompt, 400)
+            for prompt in iid_lab.prompts(20, seed=71)
+        )
+        t = next(t for t in episodes if len(t.output) < 400)  # ended at <eos>
+        payload = json.loads(t.to_json())
+        Transcript.from_dict(payload)  # loads as played
+        payload["rounds"].append(dict(payload["rounds"][0]))
+        with pytest.raises(IoError, match="a round follows the round that committed <eos>"):
+            Transcript.from_dict(self.retotal(payload))
+
     def test_the_contradictory_transcript_of_the_roadmap(self, payload, tmp_path):
         payload.update(speedup=99.0, total_latency=0.001)
         bonus = next(r for r in payload["rounds"] if r["replacement_kind"] == "bonus")

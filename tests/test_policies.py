@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 from speclab.drafter import ONE_STEP, DiffusionDrafter, modal_chain, one_step_block
 from speclab.errors import ConfigError
 from speclab.ngram import train_ngram
-from speclab.policies import (
-    FailFast,
-    FailFastConfig,
-    FixedAR,
-    FixedDLLM,
-    propose_failfast,
-)
+from speclab.policies import FailFast, FixedAR, FixedDLLM
 
 
 def make_drafter(docs):
@@ -42,8 +36,8 @@ def confident():
 
 class TestFailFastConfig:
     def test_defaults(self):
-        cfg = FailFastConfig()
-        assert (cfg.step_size, cfg.confidence_threshold, cfg.max_length) == (10, 0.45, 60)
+        policy = FailFast()
+        assert (policy.step_size, policy.confidence_threshold, policy.max_length) == (10, 0.45, 60)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,13 +57,13 @@ class TestFailFastConfig:
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigError):
-            FailFastConfig(**kwargs)
+            FailFast(**kwargs)
 
 
 class TestFailFastExpansion:
     def test_fully_confident_runs_to_the_cap(self, confident):
         prefix = [confident.backbone.vocabulary.id_of("a")]
-        proposal = propose_failfast(confident, prefix, FailFastConfig())
+        proposal = FailFast().propose(confident, prefix)
         assert len(proposal.tokens) == 60
         # Six chunks of 10 need blocks up to position 64: eight passes total.
         assert proposal.forward_passes == 8
@@ -78,15 +72,15 @@ class TestFailFastExpansion:
     def test_subthreshold_first_chunk_stops_at_one_step(self):
         drafter = make_drafter([list("ab" * 20), list("ac" * 20)])
         prefix = [drafter.backbone.vocabulary.id_of("a")]
-        cfg = FailFastConfig(confidence_threshold=0.6)
-        proposal = propose_failfast(drafter, prefix, cfg)
-        assert len(proposal.tokens) == cfg.step_size
+        policy = FailFast(confidence_threshold=0.6)
+        proposal = policy.propose(drafter, prefix)
+        assert len(proposal.tokens) == policy.step_size
         assert min(proposal.confidences) < 0.6
 
     def test_cap_truncates_the_final_chunk(self, confident):
         prefix = [confident.backbone.vocabulary.id_of("a")]
-        cfg = FailFastConfig(step_size=10, max_length=25)
-        proposal = propose_failfast(confident, prefix, cfg)
+        policy = FailFast(step_size=10, max_length=25)
+        proposal = policy.propose(confident, prefix)
         assert len(proposal.tokens) == 25
         # The third chunk was drafted before truncation, so its passes stay
         # on the bill: blocks through position 32 cost four passes.
@@ -95,7 +89,7 @@ class TestFailFastExpansion:
     def test_eos_cuts_the_draft_just_after_the_marker(self):
         drafter = make_drafter([list("abz"), list("acz"), list("adz")])
         vocab = drafter.backbone.vocabulary
-        proposal = propose_failfast(drafter, [vocab.id_of("a")], FailFastConfig())
+        proposal = FailFast().propose(drafter, [vocab.id_of("a")])
         assert proposal.tokens[-1] == vocab.eos_id
         assert len(proposal.tokens) == 3
         assert vocab.eos_id not in proposal.tokens[:-1]
@@ -160,12 +154,12 @@ class TestFailFastProperties:
     )
     def test_length_is_chunk_aligned_capped_or_eos_cut(self, seed, step, threshold):
         drafter, prefix = random_drafter_and_prefix(seed)
-        cfg = FailFastConfig(step_size=step, confidence_threshold=threshold, max_length=36)
-        proposal = propose_failfast(drafter, prefix, cfg)
+        policy = FailFast(step_size=step, confidence_threshold=threshold, max_length=36)
+        proposal = policy.propose(drafter, prefix)
         n = len(proposal.tokens)
         eos = drafter.backbone.vocabulary.eos_id
-        assert 1 <= n <= cfg.max_length
-        assert n % step == 0 or n == cfg.max_length or proposal.tokens[-1] == eos
+        assert 1 <= n <= policy.max_length
+        assert n % step == 0 or n == policy.max_length or proposal.tokens[-1] == eos
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -175,16 +169,12 @@ class TestFailFastProperties:
     )
     def test_raising_the_threshold_never_lengthens_the_draft(self, seed, low, bump):
         drafter, prefix = random_drafter_and_prefix(seed)
-        lenient = propose_failfast(
-            drafter, prefix, FailFastConfig(confidence_threshold=low)
-        )
-        strict = propose_failfast(
-            drafter, prefix, FailFastConfig(confidence_threshold=min(low + bump, 0.99))
-        )
+        lenient = FailFast(confidence_threshold=low).propose(drafter, prefix)
+        strict = FailFast(confidence_threshold=min(low + bump, 0.99)).propose(drafter, prefix)
         assert len(strict.tokens) <= len(lenient.tokens)
 
 
-def reference_failfast(drafter, prefix, config):
+def reference_failfast(drafter, prefix, policy):
     """The chunk loop over an uncached stream of one-step blocks, decoded on
     a cold view of the drafter's backbone."""
     backbone = drafter.backbone.with_order(drafter.backbone.order, drafter.backbone.smoothing)
@@ -203,7 +193,7 @@ def reference_failfast(drafter, prefix, config):
     length = 0
     while True:
         chunk_start = length
-        length += config.step_size
+        length += policy.step_size
         while len(tokens) < length:
             block = next(blocks)
             passes += 1
@@ -214,11 +204,11 @@ def reference_failfast(drafter, prefix, config):
         if eos in chunk:
             length = chunk_start + chunk.index(eos) + 1
             break
-        if min(confidences[chunk_start:length]) < config.confidence_threshold:
+        if min(confidences[chunk_start:length]) < policy.confidence_threshold:
             break
-        if length >= config.max_length:
+        if length >= policy.max_length:
             break
-    length = min(length, config.max_length)
+    length = min(length, policy.max_length)
     return tokens[:length], confidences[:length], distributions[:length], passes
 
 
@@ -253,10 +243,10 @@ class TestFailFastReadsTheBlockCache:
     ):
         drafter, prompts = warm_failfast[corpus, size]
         prefix = prompts[pick % len(prompts)]
-        cfg = FailFastConfig(step_size=step, confidence_threshold=threshold, max_length=step + extra)
-        tokens, confidences, distributions, passes = reference_failfast(drafter, prefix, cfg)
+        policy = FailFast(step_size=step, confidence_threshold=threshold, max_length=step + extra)
+        tokens, confidences, distributions, passes = reference_failfast(drafter, prefix, policy)
         for _ in range(2):
-            got = propose_failfast(drafter, prefix, cfg)
+            got = policy.propose(drafter, prefix)
             assert got.tokens == tokens
             assert got.confidences == confidences
             assert got.forward_passes == passes
@@ -315,7 +305,7 @@ class TestProposalIsAFunctionOfTheWindow:
             "fixed_ar": FixedAR(n),
             ONE_STEP: FixedDLLM(n, ONE_STEP),
             "confidence_aware": FixedDLLM(n),
-            "failfast": FailFast(FailFastConfig(step, threshold, step + extra)),
+            "failfast": FailFast(step, threshold, step + extra),
         }[family]
         first, second = (
             policy.propose(
