@@ -263,6 +263,7 @@ def materialize(config: dict, base_dir: str = ".") -> list[ResolvedRun]:
         block_size = drafter_spec.pop("block_size", DiffusionDrafter.block_size)
         unmask_threshold = drafter_spec.pop("unmask_threshold", DiffusionDrafter.unmask_threshold)
         check_settings(block_size, unmask_threshold)
+        case_args["cost"].check_episode(case_args["max_tokens"], *policy.worst_round(block_size))
         vocab_file = target_spec.get("model_file")  # the target's file, else the corpus
         vocab_source = None if vocab_file is None else os.path.join(base_dir, str(vocab_file))
         table_key = (corpus_path, tok_kind, vocab_source)

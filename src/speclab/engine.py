@@ -89,6 +89,24 @@ class CostModel:
         extra = max(0, scored_positions - self.verify_token_cutoff)
         return self.verify_round_cost + extra * self.excess
 
+    def check_episode(self, max_tokens: int, draft_len: int, passes: int) -> None:
+        """Raise ``ConfigError`` unless an episode's latencies and speedup stay
+        finite when each of its rounds drafts ``draft_len`` tokens in ``passes``
+        passes. A round commits at least one token, so an episode has at most
+        ``max_tokens`` rounds; a transcript holding ``inf`` cannot be saved,
+        so a run with such costs would fail only after playing every episode."""
+        try:
+            latency = max_tokens * (self.draft_latency(passes) + self.verify_latency(draft_len + 1))
+            speedup = max_tokens * self.decode / self.verify_round_cost
+            finite = math.isfinite(latency) and math.isfinite(speedup)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"costs overflow: {max_tokens} rounds of {draft_len} drafted tokens in "
+                f"{passes} drafter passes need a latency or speedup past the float range"
+            )
+
 
 def _number(kind: type, value: object, name: str):
     """A transcript field as ``kind``, checked and not coerced: an int takes a
@@ -150,6 +168,15 @@ def _non_finite(text: str) -> NoReturn:
 
 
 _DECODER = json.JSONDecoder(parse_float=_TextFloat().__getitem__, parse_constant=_non_finite)
+# Compact JSON by the C encoder, built once rather than by every ``json.dumps``
+# call; a non-finite number raises ``ValueError``: JSON has none.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+# The instance attribute that holds a shared record's JSON text (None until
+# its first encoding). It is no dataclass field, so equality, ``repr`` and
+# ``_ROUND_FIELDS`` never see it.
+_TEXT = "_json_text"
 
 
 @dataclass(frozen=True)
@@ -158,7 +185,10 @@ class RoundRecord:
 
     Under greedy verification ``run_workload`` hands one record to every
     transcript of the call whose round starts at the same window, lists
-    included, so a record is read-only: copy it to change it.
+    included, so a record is read-only: copy it to change it. The memo marks
+    each record it shares with ``share``, and ``Transcript.to_json`` then
+    encodes it once per process and keeps the text. Other records keep no
+    text: a stochastic round never recurs.
     """
 
     proposed_len: int
@@ -183,6 +213,20 @@ class RoundRecord:
             "draft_latency": self.draft_latency,
             "verify_latency": self.verify_latency,
         }
+
+    def share(self) -> None:
+        """Mark the record as handed to many transcripts, so that its JSON
+        text is kept after its first encoding."""
+        object.__setattr__(self, _TEXT, None)
+
+    def shared_json(self) -> str:
+        """``to_dict`` as compact JSON, encoded on the first call only; for a
+        record marked by ``share``. A failed encoding raises and keeps nothing."""
+        text = self.__dict__[_TEXT]
+        if text is None:
+            text = _ENCODER.encode(self.to_dict())
+            object.__setattr__(self, _TEXT, text)
+        return text
 
 
 _ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
@@ -292,13 +336,16 @@ class Transcript:
     schema_version: int = TRANSCRIPT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
+        return self._as_dict([r.to_dict() for r in self.rounds])
+
+    def _as_dict(self, rounds: list) -> dict:
         return {
             "schema_version": self.schema_version,
             "config": self.config,
             "seed": self.seed,
             "prompt": self.prompt,
             "vocab": self.vocab,
-            "rounds": [r.to_dict() for r in self.rounds],
+            "rounds": rounds,
             "output": self.output,
             "draft_latency": self.draft_latency,
             "verify_latency": self.verify_latency,
@@ -346,9 +393,25 @@ class Transcript:
         return t
 
     def to_json(self) -> str:
-        """``to_dict`` as compact JSON; ``from_json`` reads any layout. A
-        non-finite number raises ``ValueError``: JSON has none."""
-        return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
+        """``to_dict`` as compact JSON, written by the C encoder; ``from_json``
+        reads any layout. A non-finite number raises ``ValueError``: JSON has
+        none.
+
+        The rounds are spliced into the encoding of the other fields. When
+        every round is a record the greedy memo shares, they are the records'
+        kept texts, so each shared record is encoded once per process;
+        otherwise they are one encoding of every round, which is faster than
+        a call per round, and no text is kept.
+        """
+        if all(_TEXT in r.__dict__ for r in self.rounds):
+            rounds = f"[{','.join([r.shared_json() for r in self.rounds])}]"
+        else:
+            rounds = _ENCODER.encode([r.to_dict() for r in self.rounds])
+        text = _ENCODER.encode(self._as_dict([]))
+        # JSON escapes every quote inside a string, so this text is the key
+        # itself; the fields after it hold no object, so the last one is ours.
+        cut = text.rindex('"rounds":[]') + len('"rounds":')
+        return "".join((text[:cut], rounds, text[cut + len("[]"):]))
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
@@ -461,6 +524,7 @@ def run_episode(
             played = memo.get(key)
             if played is None:
                 played = memo[key] = play(prefix)
+                played[0].share()
         record, committed, done = played
         rounds.append(record)
         output.extend(committed)

@@ -34,6 +34,10 @@ class FixedAR:
         draft = drafter.draft_tokens(prefix, self.draft_len, ONE_STEP)
         return replace(draft, forward_passes=self.draft_len)
 
+    def worst_round(self, block_size: int) -> tuple[int, int]:
+        """The longest draft ``propose`` returns and the most passes it charges."""
+        return self.draft_len, self.draft_len
+
     def label(self) -> str:
         return f"fixed_ar({self.draft_len})"
 
@@ -52,6 +56,13 @@ class FixedDLLM:
 
     def propose(self, drafter: DiffusionDrafter, prefix: list[int]) -> DraftProposal:
         return drafter.draft_tokens(prefix, self.draft_len, self.mode)
+
+    def worst_round(self, block_size: int) -> tuple[int, int]:
+        """The longest draft ``propose`` returns and the most passes it charges
+        with blocks of ``block_size`` slots: one pass a block in one-step mode,
+        and at most one a slot otherwise, since each pass unmasks a slot."""
+        blocks = -(-self.draft_len // block_size)
+        return self.draft_len, blocks if self.mode == ONE_STEP else blocks * block_size
 
     def label(self) -> str:
         return f"fixed_dllm({self.draft_len},{self.mode})"
@@ -112,6 +123,13 @@ class FailFast:
                 break
         return draft.head(min(end, self.max_length))
 
+    def worst_round(self, block_size: int) -> tuple[int, int]:
+        """The longest draft ``propose`` returns and the most passes it charges
+        with blocks of ``block_size`` slots: the last chunk drafts up to the
+        first multiple of ``step_size`` at or past ``max_length``."""
+        end = -(-self.max_length // self.step_size) * self.step_size
+        return self.max_length, -(-end // block_size)
+
     def label(self) -> str:
         return (
             f"failfast(step={self.step_size},threshold={self.confidence_threshold},"
@@ -124,4 +142,6 @@ class FailFast:
 # drafter's backbone window of ``prefix`` alone, never of what came before it
 # or of which blocks the drafter has cached. ``engine.run_episode`` relies on
 # it to reuse a greedy round at a window it has already drafted.
+# ``worst_round(block_size)`` bounds every proposal's length and passes, which
+# ``config.materialize`` reads to refuse overflowing costs before training.
 Policy = Union[FixedAR, FixedDLLM, FailFast]

@@ -48,7 +48,12 @@ def load_transcripts(run_dir: str | os.PathLike[str]) -> list[Transcript]:
     paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")))
     if not paths:
         raise MissingTranscripts(f"no transcript_*.json files in {run_dir}")
-    transcripts = [Transcript.load(p) for p in paths]
+    return require_rounds(paths, [Transcript.load(p) for p in paths])
+
+
+def require_rounds(paths: list[str], transcripts: list[Transcript]) -> list[Transcript]:
+    """``transcripts``, saved at ``paths``, once each is known to hold a round:
+    a bundle reads every transcript's rounds, so an empty one fails naming its file."""
     for path, t in zip(paths, transcripts):
         if not t.rounds:
             raise EmptyTranscript(f"{path} has no rounds")
@@ -131,13 +136,23 @@ def render_report(
     run_dir: str | os.PathLike[str],
     out_dir: str | os.PathLike[str] | None = None,
 ) -> dict[str, str]:
-    """Build the full report bundle for a run directory.
+    """Build the full report bundle for a run directory, in ``out_dir`` if
+    given and else in ``run_dir``.
 
     Returns a name -> path mapping for the six artifacts. Rendering the same
     directory twice produces byte-identical files.
     """
-    transcripts = load_transcripts(run_dir)
-    out = str(out_dir) if out_dir is not None else str(run_dir)
+    return render_bundle(load_transcripts(run_dir), run_dir if out_dir is None else out_dir)
+
+
+def render_bundle(transcripts: list[Transcript], out_dir: str | os.PathLike[str]) -> dict[str, str]:
+    """Write the report bundle of ``transcripts``, each holding a round, to
+    ``out_dir``: the same bytes as ``render_report`` on a directory where they
+    are saved, in this order.
+
+    Returns a name -> path mapping for the six artifacts.
+    """
+    out = str(out_dir)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:

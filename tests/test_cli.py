@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 
 import pytest
@@ -233,7 +234,8 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_a_non_finite_latency_fails_with_one_error_line_and_no_bad_transcript(self, tmp_path, capsys):
-        # Two drafter passes at 1e308 each add up to a latency of inf.
+        # Two drafter passes at 1e308 each add up to a latency of inf, so the
+        # costs are refused before training; at 1e300 every latency is finite.
         cfg = load_config(os.path.join(WORKLOADS, "mixed_failfast.json"))
         for key in ("train_corpus", "prompt_file"):
             cfg[key] = os.path.join(WORKLOADS, cfg[key])
@@ -242,12 +244,15 @@ class TestRun:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert main(["run", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cannot write transcript ")
-        assert str(out) in err[0]
+        assert len(err) == 1 and err[0].startswith("error: costs overflow")
+        assert not out.exists()
+        cfg.update(cost={"draft_pass_cost": 1e300})
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(out)]) == 0
         for saved in out.glob("transcript_*.json"):
-            Transcript.load(saved)
+            assert math.isfinite(Transcript.load(saved).total_latency)
 
     def test_negative_seed_flag_fails_with_one_error_line(self, tmp_path, capsys):
         write_corpus(tmp_path)
@@ -473,13 +478,17 @@ class TestTheory:
 
 class TestReport:
     def test_rebuild_from_transcripts(self, tmp_path):
+        # ``run`` renders the transcripts it holds, ``report`` the saved files.
         write_corpus(tmp_path)
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
-        rebuilt = tmp_path / "rebuilt"
-        assert main(["report", str(out), "--out", str(rebuilt)]) == 0
-        assert (rebuilt / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+        for verifier in ("greedy", "stochastic"):
+            cfg = write_config(tmp_path, verifier=verifier)
+            out, rebuilt = tmp_path / verifier, tmp_path / f"{verifier}-rebuilt"
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            assert main(["report", str(out), "--out", str(rebuilt)]) == 0
+            names = sorted(os.listdir(rebuilt))
+            assert len(names) == 6
+            for name in names:
+                assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), (verifier, name)
 
     def test_directory_without_transcripts(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1

@@ -381,6 +381,14 @@ class TestOneTablePerCorpus:
             ({"cost": {"decode_pass_cost": float("-inf")}}, "decode_pass_cost must be finite"),
             ({"policy": {"kind": "fail_fast", "confidence_threshold": float("nan")}}, "confidence"),
             ({"cost": {"verify_token_cutoff": 10**400}}, "verify_token_cutoff"),
+            # 24 rounds of 4 passes at 1e307 each, or a speedup of 24e300 / 1e-10
+            ({"cost": {"draft_pass_cost": 1e307}}, "costs overflow"),
+            (
+                {"cost": {"verify_excess_cost": 1e307}, "policy": {"kind": "fixed_ar", "draft_len": 80}},
+                "costs overflow",
+            ),
+            ({"cost": {"verify_round_cost": 1e-10, "decode_pass_cost": 1e300}}, "costs overflow"),
+            ({"cost": {"draft_pass_cost": [0.05, 1e307]}}, "costs overflow"),
         ],
     )
     def test_a_bad_setting_fails_before_training(self, workdir, train_calls, override, match):

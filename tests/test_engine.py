@@ -282,6 +282,11 @@ class TestTranscriptPersistence:
             Transcript.load(path)
 
 
+def oracle_json(t: Transcript) -> str:
+    """The bytes ``to_json`` must write."""
+    return json.dumps(t.to_dict(), separators=(",", ":"), allow_nan=False)
+
+
 class TestTranscriptJson:
     """``to_json`` is the compact ``json.dumps`` of ``to_dict``."""
 
@@ -321,11 +326,45 @@ class TestTranscriptJson:
             )
             for i, policy in enumerate(policies)
         ]
-        for _, transcripts in sweep(cases, prompts):
+        swept = sweep(cases, prompts)
+        rounds = [r for _, transcripts in swept for t in transcripts for r in t.rounds]
+        shared = len({id(r) for r in rounds}) < len(rounds)
+        assert shared == (verifier == "greedy")
+        for _, transcripts in swept:
             for t in transcripts:
                 text = t.to_json()
+                assert text == oracle_json(t)
+                assert t.to_json() == text  # the kept texts of shared records
                 assert "\n" not in text
                 assert Transcript.from_json(text) == t
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"proposed_tokens": [np.int64(3)]}, TypeError),
+            ({"accepted_len": np.int64(1)}, TypeError),
+            ({"verify_latency": math.inf}, IoError),
+        ],
+    )
+    def test_a_shared_record_json_rejects_fails_at_every_save(self, mixed_lab, tmp_path, bad, error):
+        prompts = mixed_lab.prompts(2, seed=40)
+        case = SweepCase(
+            label="shared", target=mixed_lab.target, drafter=mixed_lab.drafter,
+            policy=FixedAR(2), max_tokens=8,
+        )
+        transcripts = run_workload(case, prompts)
+        good = transcripts[0].rounds[0]
+        record = RoundRecord(**{**good.to_dict(), **bad})
+        record.share()
+        assert record == RoundRecord(**{**good.to_dict(), **bad})  # the mark is no field
+        for t in transcripts:
+            t.rounds = [good, record]
+        for attempt in range(2):  # a failed encoding keeps nothing to reuse
+            for i, t in enumerate(transcripts):
+                path = tmp_path / f"transcript_{attempt}_{i}.json"
+                with pytest.raises(error):
+                    t.save(path)
+                assert not path.exists()
 
 
 class TestWorkloads:

@@ -145,6 +145,49 @@ def random_drafter_and_prefix(seed):
     return drafter, prefix
 
 
+class TestWorstRound:
+    """``worst_round(block_size)`` bounds the draft length and passes of every
+    proposal, so ``config.materialize`` can reject overflowing costs upfront."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(["fixed_ar", ONE_STEP, "confidence_aware", "failfast"]),
+        size=st.integers(min_value=1, max_value=9),
+        unmask=st.floats(min_value=0.05, max_value=1.0),
+        n=st.integers(min_value=1, max_value=24),
+        step=st.integers(min_value=1, max_value=12),
+        extra=st.integers(min_value=0, max_value=30),
+        threshold=st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_every_proposal_is_within_the_bound(
+        self, seed, family, size, unmask, n, step, extra, threshold
+    ):
+        drafter, prefix = random_drafter_and_prefix(seed)
+        drafter = DiffusionDrafter(drafter.backbone, block_size=size, unmask_threshold=unmask)
+        policy = {
+            "fixed_ar": FixedAR(n),
+            ONE_STEP: FixedDLLM(n, ONE_STEP),
+            "confidence_aware": FixedDLLM(n),
+            "failfast": FailFast(step, threshold, step + extra),
+        }[family]
+        proposal = policy.propose(drafter, prefix)
+        longest, passes = policy.worst_round(size)
+        assert len(proposal.tokens) <= longest
+        assert proposal.forward_passes <= passes
+
+    def test_the_bound_is_reached(self, confident):
+        prefix = confident.backbone.vocabulary.encode("a")
+        # Chunks of 4 up to 12 cover a cap of 10: three one-step blocks of 5.
+        policy = FailFast(step_size=4, confidence_threshold=0.5, max_length=10)
+        drafter = DiffusionDrafter(confident.backbone, block_size=5)
+        proposal = policy.propose(drafter, prefix)
+        assert (len(proposal.tokens), proposal.forward_passes) == policy.worst_round(5) == (10, 3)
+        assert FixedDLLM(7, ONE_STEP).worst_round(5) == (7, 2)
+        assert FixedDLLM(7).worst_round(5) == (7, 10)
+        assert FixedAR(7).worst_round(5) == (7, 7)
+
+
 class TestFailFastProperties:
     @settings(max_examples=25, deadline=None)
     @given(
