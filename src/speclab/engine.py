@@ -1,11 +1,11 @@
 """The propose-verify loop, its latency accounting, and transcripts.
 
-Latency is simulated, not measured: drafter passes cost a fraction of a
-verify pass, one verification round costs one unit while the scored positions
-fit inside the batch cutoff (the memory-bound regime) and picks up a
-per-token surcharge beyond it (the compute-bound regime). Vanilla decoding
-of the same output is priced at one decode pass per token, which makes the
-reported speedup a pure function of the transcript.
+Latency is simulated, not measured, in one unit: one verification round
+while the scored positions fit inside the batch cutoff (the memory-bound
+regime). A drafter pass costs a fraction of it, and a round past the cutoff
+picks up a per-position surcharge (the compute-bound regime). Vanilla
+decoding is priced at one unit per output token, which makes the reported
+speedup a pure function of the transcript.
 """
 
 from __future__ import annotations
@@ -36,50 +36,25 @@ VERIFIER_KINDS = (VERIFIER_GREEDY, VERIFIER_STOCHASTIC)
 
 @dataclass(frozen=True)
 class CostModel:
-    """Latency constants, all in units of one verify pass.
+    """Latency constants in units of one verification round (one target
+    forward pass), which is also the cost of one vanilla decoding step.
 
     Attributes:
-        draft_pass_cost: cost of one drafter forward pass.
-        verify_round_cost: cost of one verification round within the cutoff.
+        draft_pass_cost: cost of one drafter forward pass; ``theory``'s
+            ``cost_ratio``.
         verify_token_cutoff: scored positions (draft length + 1) a verify
-            round absorbs at no extra charge; beyond it the round is
-            compute-bound.
-        verify_excess_cost: per-position surcharge past the cutoff; defaults
-            to verify_round_cost / verify_token_cutoff.
-        decode_pass_cost: vanilla decoding cost per output token; defaults to
-            verify_round_cost.
+            round absorbs at no extra charge; each position beyond it adds
+            ``1 / verify_token_cutoff`` (the round is compute-bound).
     """
 
     draft_pass_cost: float = 0.05
-    verify_round_cost: float = 1.0
     verify_token_cutoff: int = 64
-    verify_excess_cost: float | None = None
-    decode_pass_cost: float | None = None
 
     def __post_init__(self) -> None:
-        check_number(self.draft_pass_cost, float, "cost draft_pass_cost")
-        check_number(self.verify_round_cost, float, "cost verify_round_cost")
-        if self.draft_pass_cost < 0 or self.verify_round_cost <= 0:
+        if check_number(self.draft_pass_cost, float, "cost draft_pass_cost") < 0:
             raise ConfigError("pass costs must be positive")
         check_number(self.verify_token_cutoff, int, "cost verify_token_cutoff", at_least=1)
-        check_number(self.verify_token_cutoff, float, "cost verify_token_cutoff")  # ``excess`` divides by it
-        if self.verify_excess_cost is not None:
-            check_number(self.verify_excess_cost, float, "cost verify_excess_cost", at_least=0)
-        if self.decode_pass_cost is not None:
-            if check_number(self.decode_pass_cost, float, "cost decode_pass_cost") <= 0:
-                raise ConfigError("decode cost must be positive")
-
-    @property
-    def excess(self) -> float:
-        if self.verify_excess_cost is not None:
-            return self.verify_excess_cost
-        return self.verify_round_cost / self.verify_token_cutoff
-
-    @property
-    def decode(self) -> float:
-        if self.decode_pass_cost is not None:
-            return self.decode_pass_cost
-        return self.verify_round_cost
+        check_number(self.verify_token_cutoff, float, "cost verify_token_cutoff")  # verify_latency divides by it
 
     def draft_latency(self, passes: int) -> float:
         return passes * self.draft_pass_cost
@@ -87,24 +62,24 @@ class CostModel:
     def verify_latency(self, scored_positions: int) -> float:
         """Cost of one verify round scoring ``scored_positions`` = L + 1 slots."""
         extra = max(0, scored_positions - self.verify_token_cutoff)
-        return self.verify_round_cost + extra * self.excess
+        return 1.0 + extra * (1.0 / self.verify_token_cutoff)
 
     def check_episode(self, max_tokens: int, draft_len: int, passes: int) -> None:
-        """Raise ``ConfigError`` unless an episode's latencies and speedup stay
-        finite when each of its rounds drafts ``draft_len`` tokens in ``passes``
-        passes. A round commits at least one token, so an episode has at most
+        """Raise ``ConfigError`` unless an episode's latencies stay finite when
+        each of its rounds drafts ``draft_len`` tokens in ``passes`` passes.
+        A round commits at least one token, so an episode has at most
         ``max_tokens`` rounds; a transcript holding ``inf`` cannot be saved,
-        so a run with such costs would fail only after playing every episode."""
+        so a run with such costs would fail only after playing every episode.
+        The speedup is at most the output length, so it is always finite."""
         try:
             latency = max_tokens * (self.draft_latency(passes) + self.verify_latency(draft_len + 1))
-            speedup = max_tokens * self.decode / self.verify_round_cost
-            finite = math.isfinite(latency) and math.isfinite(speedup)
+            finite = math.isfinite(latency)
         except OverflowError:  # an integer past the float range
             finite = False
         if not finite:
             raise ConfigError(
                 f"costs overflow: {max_tokens} rounds of {draft_len} drafted tokens in "
-                f"{passes} drafter passes need a latency or speedup past the float range"
+                f"{passes} drafter passes need a latency past the float range"
             )
 
 
@@ -492,16 +467,17 @@ def run_episode(
             result = verify_greedy(target, prefix, proposal)
         else:
             result = verify_stochastic(target, prefix, proposal, rng)
+        drafted = len(proposal.tokens)
         record = RoundRecord(  # fields in order; keywords would cost a third more per round
-            len(proposal.tokens),
+            drafted,
             result.accepted_len,
             proposal.forward_passes,
-            result.replacement_kind,
+            BONUS if result.accepted_len == drafted else CORRECTION,
             list(proposal.tokens),
             result.replacement,
             list(proposal.confidences),
             cost.draft_latency(proposal.forward_passes),
-            cost.verify_latency(len(proposal.tokens) + 1),
+            cost.verify_latency(drafted + 1),
         )
         committed = proposal.tokens[: result.accepted_len] + [result.replacement]
         if eos in committed:
@@ -534,7 +510,7 @@ def run_episode(
     draft_total = math.fsum(r.draft_latency for r in rounds)
     verify_total = math.fsum(r.verify_latency for r in rounds)
     total = draft_total + verify_total
-    vanilla = len(output) * cost.decode
+    vanilla = float(len(output))
     return Transcript(
         config=dict(config_snapshot or {}),
         seed=seed_list,

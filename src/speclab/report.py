@@ -43,9 +43,20 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _run_order(path: str) -> tuple:
+    """Sort key of a transcript file: ``transcript_<i>.json`` by the integer
+    ``i``, as ``speclab run`` numbers them, then any other name by name."""
+    name = os.path.basename(path)
+    index = name[len("transcript_"):-len(".json")]
+    if index.isascii() and index.isdigit():
+        return (0, int(index), name)
+    return (1, 0, name)
+
+
 def load_transcripts(run_dir: str | os.PathLike[str]) -> list[Transcript]:
-    """Load every ``transcript_*.json`` under ``run_dir``, sorted by file name."""
-    paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")))
+    """Load every ``transcript_*.json`` under ``run_dir`` in run order: by the
+    integer in the name, then names that hold none, by name."""
+    paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")), key=_run_order)
     if not paths:
         raise MissingTranscripts(f"no transcript_*.json files in {run_dir}")
     return require_rounds(paths, [Transcript.load(p) for p in paths])

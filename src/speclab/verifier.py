@@ -30,16 +30,12 @@ class VerificationResult:
 
     ``accepted_len`` of the drafted tokens are kept, then ``replacement`` is
     committed on top: the target's correction at the first rejected position,
-    or a bonus continuation when the whole draft was accepted.
+    or a bonus continuation when the whole draft was accepted (``accepted_len``
+    is the draft's length).
     """
 
     accepted_len: int
     replacement: int
-    all_accepted: bool
-
-    @property
-    def replacement_kind(self) -> str:
-        return BONUS if self.all_accepted else CORRECTION
 
 
 def verify_greedy(target: NGramModel, prefix: Sequence[int], proposal: DraftProposal) -> VerificationResult:
@@ -54,10 +50,10 @@ def verify_greedy(target: NGramModel, prefix: Sequence[int], proposal: DraftProp
     for accepted, tok in enumerate(proposal.tokens):
         best, _ = target.top(ctx)
         if tok != best:
-            return VerificationResult(accepted, best, all_accepted=False)
+            return VerificationResult(accepted, best)
         ctx.append(tok)
     bonus, _ = target.top(ctx)
-    return VerificationResult(len(proposal.tokens), bonus, all_accepted=True)
+    return VerificationResult(len(proposal.tokens), bonus)
 
 
 def accept_probability(target_dist: np.ndarray, draft_dist: np.ndarray, token: int) -> float:
@@ -99,9 +95,9 @@ def verify_stochastic(
             ctx.append(tok)
             continue
         replacement = _sample(residual_distribution(p, q), rng)
-        return VerificationResult(accepted, replacement, all_accepted=False)
+        return VerificationResult(accepted, replacement)
     bonus = _sample(target.next_distribution(ctx), rng)
-    return VerificationResult(len(proposal.tokens), bonus, all_accepted=True)
+    return VerificationResult(len(proposal.tokens), bonus)
 
 
 def vanilla_decode(target: NGramModel, prompt: Sequence[int], max_tokens: int) -> list[int]:

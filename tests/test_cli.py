@@ -224,6 +224,9 @@ class TestRun:
             {"drafter": {"order": 3, "smoothing": float("inf")}},
             {"cost": {"decode_pass_cost": float("-inf")}},
             {"target": {"order": 4, "smoothing": 10**400}},
+            # cost keys that are no CostModel field
+            {"cost": {"decode_pass_cost": 2.0}},
+            {"cost": {"verify_round_cost": 1.0}},
         ],
     )
     def test_badly_typed_values_fail_with_one_error_line(self, tmp_path, capsys, overrides):
@@ -232,6 +235,11 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        # The line names the bad key: the last one written in the override.
+        key, value = next(reversed(overrides.items()))
+        while isinstance(value, dict):
+            key, value = next(reversed(value.items()))
+        assert key in err[0] or key.replace("_", " ") in err[0]
 
     def test_a_non_finite_latency_fails_with_one_error_line_and_no_bad_transcript(self, tmp_path, capsys):
         # Two drafter passes at 1e308 each add up to a latency of inf, so the

@@ -375,19 +375,23 @@ class TestOneTablePerCorpus:
             ({"target": {"order": 3, "smoothing": float("nan")}}, "smoothing must be finite"),
             ({"drafter": {"order": 2, "smoothing": float("inf")}}, "smoothing must be finite"),
             ({"cost": {"draft_pass_cost": float("nan")}}, "draft_pass_cost must be finite"),
-            ({"cost": {"verify_round_cost": 10**400}}, "verify_round_cost must be finite"),
-            ({"cost": {"verify_round_cost": float("inf")}}, "verify_round_cost must be finite"),
-            ({"cost": {"verify_excess_cost": float("inf")}}, "verify_excess_cost must be finite"),
-            ({"cost": {"decode_pass_cost": float("-inf")}}, "decode_pass_cost must be finite"),
+            # verify_round_cost, verify_excess_cost and decode_pass_cost are no
+            # CostModel fields, so each fails as an unknown key, named
+            ({"cost": {"verify_round_cost": 10**400}}, "verify_round_cost"),
+            ({"cost": {"verify_token_cutoff": float("inf")}}, "verify_token_cutoff"),
+            ({"cost": {"verify_excess_cost": float("inf")}}, "verify_excess_cost"),
+            ({"cost": {"decode_pass_cost": float("-inf")}}, "decode_pass_cost"),
             ({"policy": {"kind": "fail_fast", "confidence_threshold": float("nan")}}, "confidence"),
             ({"cost": {"verify_token_cutoff": 10**400}}, "verify_token_cutoff"),
-            # 24 rounds of 4 passes at 1e307 each, or a speedup of 24e300 / 1e-10
+            # 24 rounds of 4 passes at 1e307 each
             ({"cost": {"draft_pass_cost": 1e307}}, "costs overflow"),
+            # one round of 400 passes at 1e306 each
             (
-                {"cost": {"verify_excess_cost": 1e307}, "policy": {"kind": "fixed_ar", "draft_len": 80}},
+                {"cost": {"draft_pass_cost": 1e306}, "policy": {"kind": "fixed_ar", "draft_len": 400}},
                 "costs overflow",
             ),
-            ({"cost": {"verify_round_cost": 1e-10, "decode_pass_cost": 1e300}}, "costs overflow"),
+            # every round is finite, but 10**10 of them are not
+            ({"cost": {"draft_pass_cost": 1e300}, "max_tokens": 10**10}, "costs overflow"),
             ({"cost": {"draft_pass_cost": [0.05, 1e307]}}, "costs overflow"),
         ],
     )

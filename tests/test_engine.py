@@ -64,22 +64,17 @@ class TestCostModel:
         assert cost.draft_latency(3) == pytest.approx(0.15)
         assert cost.verify_latency(64) == 1.0
         assert cost.verify_latency(65) == 1.0 + 1.0 / 64
-        assert cost.excess == 1.0 / 64
-        assert cost.decode == 1.0
-
-    def test_explicit_excess_and_decode(self):
-        cost = CostModel(verify_excess_cost=0.1, decode_pass_cost=2.0)
-        assert cost.verify_latency(66) == pytest.approx(1.2)
-        assert cost.decode == 2.0
+        assert CostModel(verify_token_cutoff=16).verify_latency(16) == 1.0
+        assert CostModel(verify_token_cutoff=16).verify_latency(20) == 1.0 + 4 * (1.0 / 16)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"draft_pass_cost": -0.1},
-            {"verify_round_cost": 0.0},
+            {"verify_token_cutoff": -1},
             {"verify_token_cutoff": 0},
-            {"verify_excess_cost": -1.0},
-            {"decode_pass_cost": 0.0},
+            {"draft_pass_cost": None},
+            {"draft_pass_cost": "0.05"},
             {"draft_pass_cost": "x"},
             {"verify_token_cutoff": None},
             {"draft_pass_cost": True},
@@ -87,15 +82,15 @@ class TestCostModel:
             {"draft_pass_cost": float("nan")},
             {"draft_pass_cost": float("inf")},
             {"draft_pass_cost": float("-inf")},
-            {"verify_round_cost": float("nan")},
-            {"verify_round_cost": float("inf")},
-            {"verify_round_cost": float("-inf")},
-            {"verify_excess_cost": float("nan")},
-            {"verify_excess_cost": float("inf")},
-            {"verify_excess_cost": float("-inf")},
-            {"decode_pass_cost": float("nan")},
-            {"decode_pass_cost": float("inf")},
-            {"decode_pass_cost": float("-inf")},
+            {"verify_token_cutoff": float("nan")},
+            {"verify_token_cutoff": float("inf")},
+            {"verify_token_cutoff": 64.0},
+            {"verify_token_cutoff": True},
+            {"verify_token_cutoff": "64"},
+            {"verify_token_cutoff": 10**400},
+            {"draft_pass_cost": [0.05]},
+            {"draft_pass_cost": -(10**400)},
+            {"draft_pass_cost": -1e-300},
             {"draft_pass_cost": 10**400},
         ],
     )

@@ -18,6 +18,7 @@ from speclab.report import (
     EASY_RUN_THRESHOLDS,
     SUMMARY_COLUMNS,
     load_transcripts,
+    render_bundle,
     render_report,
     summary_row,
 )
@@ -82,6 +83,22 @@ class TestLoadTranscripts:
         assert len(transcripts) == 6
         labels = [t.config["label"] for t in transcripts]
         assert labels == ["block8"] * 3 + ["ar4"] * 3
+
+    def test_files_load_in_run_order_past_four_digits(self, tmp_path):
+        # By name, transcript_10000.json sorts before transcript_1001.json.
+        first, second, other = tiny_transcript(), tiny_transcript(), tiny_transcript()
+        second.config = dict(second.config, label="second")
+        other.config = dict(other.config, label="other")
+        first.save(tmp_path / "transcript_1001.json")
+        second.save(tmp_path / "transcript_10000.json")
+        other.save(tmp_path / "transcript_extra.json")
+        loaded = load_transcripts(tmp_path)
+        assert [t.config["label"] for t in loaded] == ["tiny", "second", "other"]
+        report = render_report(tmp_path, tmp_path / "report")
+        bundle = render_bundle([first, second, other], tmp_path / "bundle")
+        for name in ARTIFACTS:
+            with open(report[name], "rb") as a, open(bundle[name], "rb") as b:
+                assert a.read() == b.read(), f"{name} differs from the run-order bundle"
 
     def test_equal_confidences_load_as_one_object(self, run_dir):
         confidences = [c for t in load_transcripts(run_dir) for r in t.rounds for c in r.confidences]
