@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .drafter import DiffusionDrafter, fixed_step_block
 from .engine import Transcript
-from .errors import EmptyTranscript, EmptyWorkload
+from .errors import ConfigError
 from .ngram import NGramModel
 from .verifier import BONUS, vanilla_decode
 
@@ -43,16 +43,7 @@ class SummaryStats:
     speedup: float
 
     def to_dict(self) -> dict:
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "avg_accepted_len": self.avg_accepted_len,
-            "max_accepted_len": self.max_accepted_len,
-            "avg_speculated_len": self.avg_speculated_len,
-            "max_speculated_len": self.max_speculated_len,
-            "rounds": self.rounds,
-            "drafter_passes_per_round": self.drafter_passes_per_round,
-            "speedup": self.speedup,
-        }
+        return asdict(self)
 
 
 def _as_list(transcripts: Transcript | Sequence[Transcript]) -> list[Transcript]:
@@ -70,7 +61,7 @@ def summarize(transcripts: Transcript | Sequence[Transcript]) -> SummaryStats:
     items = _as_list(transcripts)
     rounds = [r for t in items for r in t.rounds]
     if not rounds:
-        raise EmptyTranscript("no rounds to summarize")
+        raise ConfigError("no rounds to summarize")
     accepted = sum(r.accepted_len for r in rounds)
     speculated = sum(r.proposed_len for r in rounds)
     passes = sum(r.drafter_passes for r in rounds)
@@ -183,7 +174,7 @@ def accepted_length_cdf(
     """
     rounds = [r for t in _as_list(transcripts) for r in t.rounds]
     if not rounds:
-        raise EmptyTranscript("no rounds to build a length CDF from")
+        raise ConfigError("no rounds to build a length CDF from")
     return (
         _empirical_cdf([r.accepted_len for r in rounds]),
         _empirical_cdf([r.proposed_len for r in rounds]),
@@ -208,7 +199,7 @@ def latency_breakdown(transcripts: Transcript | Sequence[Transcript]) -> Latency
     """Split total measured latency into its speculation and verification parts."""
     items = _as_list(transcripts)
     if not any(t.rounds for t in items):
-        raise EmptyTranscript("no rounds to break down")
+        raise ConfigError("no rounds to break down")
     draft = math.fsum(t.draft_latency for t in items)
     verify = math.fsum(t.verify_latency for t in items)
     total = draft + verify
@@ -250,5 +241,5 @@ def agreement_by_steps(
                 matches[i] += sum(state.tokens[k] == truth[k] for k in range(block))
         total += usable
     if total == 0:
-        raise EmptyWorkload("no full blocks to score agreement on")
+        raise ConfigError("no full blocks to score agreement on")
     return [m / total for m in matches]

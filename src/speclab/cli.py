@@ -18,7 +18,7 @@ from .engine import VERIFIER_KINDS, SweepCase, run_workload
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, SpecLabError
 from .ngram import save_model, train_ngram
 from .report import (
-    SUMMARY_COLUMNS, render_bundle, render_report, require_rounds, summary_row, write_summary_csv
+    SUMMARY_COLUMNS, render_bundle, render_report, summary_row, write_summary_csv
 )
 from .svg import render_curves
 from .theory import DRAFTER_AR, DRAFTER_BLOCK, curve_peak, speedup_curve
@@ -51,17 +51,15 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
         config["verifier"] = args.verifier
 
 
-def _save_transcripts(transcripts, out_dir: str) -> list[str]:
+def _save_transcripts(transcripts, out_dir: str) -> None:
     """Save ``transcript_NNNN.json`` files and remove the other ``transcript_*.json``
-    files in ``out_dir``, so a report on it reads this run's transcripts only.
-    Returns the saved paths, in the order of ``transcripts``."""
+    files in ``out_dir``, so a report on it reads this run's transcripts only."""
     os.makedirs(out_dir, exist_ok=True)
     names = [f"transcript_{i:04d}.json" for i in range(len(transcripts))]
     for name, t in zip(names, transcripts):
         t.save(os.path.join(out_dir, name))
     for name in set(fnmatch.filter(os.listdir(out_dir), "transcript_*.json")) - set(names):
         os.remove(os.path.join(out_dir, name))
-    return [os.path.join(out_dir, name) for name in names]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -96,8 +94,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     case, prompts = runs[0]
     out_dir = _resolve_out(args.out, case, base_dir)
     transcripts = run_workload(case, prompts)
-    saved = _save_transcripts(transcripts, out_dir)
-    paths = render_bundle(require_rounds(saved, transcripts), out_dir)
+    _save_transcripts(transcripts, out_dir)
+    paths = render_bundle(transcripts, out_dir)
     print(f"{case.label}: {len(transcripts)} transcripts -> {out_dir}")
     print(f"report: {paths['summary.csv']}")
     return EXIT_OK

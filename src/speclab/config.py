@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .corpora import sample_prompts
 from .drafter import DiffusionDrafter, check_settings
 from .engine import CostModel, SweepCase, VERIFIER_KINDS, VERIFIER_STOCHASTIC
-from .errors import ConfigError, EmptyCorpus, IoError, check_number
+from .errors import ConfigError, IoError, check_number
 from .ngram import NGramModel, Vocabulary, load_model, train_ngram
 from .policies import FailFast, FixedAR, FixedDLLM, Policy
 from .tokenizers import TOKENIZER_KINDS, detokenize, tokenize
@@ -160,7 +160,7 @@ def read_corpus(path: str) -> list[str]:
         raise IoError(f"cannot read corpus {path}: {exc}") from exc
     docs = [d for d in docs if d]
     if not docs:
-        raise EmptyCorpus(f"corpus {path} has no documents")
+        raise ConfigError(f"corpus {path} has no documents")
     return docs
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NoMaskedSlots, check_number
+from .errors import ConfigError, check_number
 from .ngram import _DIST_CACHE_CAP, NGramModel, argmax_token
 
 ONE_STEP = "one_step"
@@ -124,7 +124,7 @@ def denoise_step(backbone: NGramModel, state: BlockState, unmask_threshold: floa
         tok, conf = backbone.top(context)
         proposals.append((j, tok, conf, backbone.next_distribution(context)))
     if not proposals:
-        raise NoMaskedSlots("block is already fully unmasked")
+        raise ConfigError("block is already fully unmasked")
     chosen = [p for p in proposals if p[2] >= unmask_threshold]
     if not chosen:
         best = proposals[0]

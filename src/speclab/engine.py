@@ -18,9 +18,7 @@ from itertools import chain
 from typing import NoReturn, Sequence
 
 from .drafter import DiffusionDrafter
-from .errors import (
-    ConfigError, EmptyWorkload, IoError, SchemaVersionMismatch, VocabularyMismatch, check_number
-)
+from .errors import ConfigError, IoError, check_number
 from .ngram import NGramModel
 from .policies import Policy
 from .verifier import BONUS, CORRECTION, verify_greedy, verify_stochastic
@@ -51,8 +49,7 @@ class CostModel:
     verify_token_cutoff: int = 64
 
     def __post_init__(self) -> None:
-        if check_number(self.draft_pass_cost, float, "cost draft_pass_cost") < 0:
-            raise ConfigError("pass costs must be positive")
+        check_number(self.draft_pass_cost, float, "cost draft_pass_cost", at_least=0)
         check_number(self.verify_token_cutoff, int, "cost verify_token_cutoff", at_least=1)
         check_number(self.verify_token_cutoff, float, "cost verify_token_cutoff")  # verify_latency divides by it
 
@@ -246,27 +243,6 @@ def _round_columns(rounds: list) -> dict[str, list]:
     return columns
 
 
-def _check_totals(t: "Transcript", columns: dict[str, list]) -> None:
-    """The latency totals and the speedup must be what ``run_episode`` derives
-    from the rounds, bit for bit, and finite."""
-    for name in ("draft_latency", "verify_latency"):
-        if getattr(t, name) != math.fsum(columns[name]):
-            raise IoError(f"transcript is malformed: {name} {getattr(t, name)} is not the rounds' sum")
-    if t.total_latency != t.draft_latency + t.verify_latency or not math.isfinite(t.total_latency):
-        raise IoError(
-            f"transcript is malformed: total_latency {t.total_latency} is not "
-            "draft_latency + verify_latency, or not finite"
-        )
-    if not (math.isfinite(t.vanilla_latency) and t.vanilla_latency >= 0.0):
-        raise IoError(f"transcript is malformed: vanilla_latency {t.vanilla_latency}")
-    speedup = t.vanilla_latency / t.total_latency if t.total_latency > 0 else 0.0
-    if t.speedup != speedup:
-        raise IoError(
-            f"transcript is malformed: speedup {t.speedup} is not "
-            "vanilla_latency / total_latency"
-        )
-
-
 def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None:
     """``output`` must be what the rounds commit, each ``proposed_tokens[:accepted_len]
     + [replacement_token]``, cut at the first ``<eos>``; or a prefix of that
@@ -289,6 +265,16 @@ def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None
         raise IoError("transcript is malformed: output is not what the rounds commit")
 
 
+# The five stored totals ``Transcript.of`` derives, each with what it must equal.
+_TOTALS = (
+    ("draft_latency", "the rounds' sum"),
+    ("verify_latency", "the rounds' sum"),
+    ("total_latency", "draft_latency + verify_latency, or not finite"),
+    ("vanilla_latency", "the output length"),
+    ("speedup", "vanilla_latency / total_latency"),
+)
+
+
 @dataclass
 class Transcript:
     """A full episode: prompt, per-round records, output, and latency totals.
@@ -309,6 +295,28 @@ class Transcript:
     vanilla_latency: float
     speedup: float
     schema_version: int = TRANSCRIPT_SCHEMA_VERSION
+
+    @classmethod
+    def of(
+        cls,
+        config: dict,
+        seed: list[int],
+        prompt: list[int],
+        vocab: list[str],
+        rounds: list[RoundRecord],
+        output: list[int],
+    ) -> "Transcript":
+        """The transcript of ``rounds`` that commit ``output``, its totals
+        derived from them: vanilla decoding costs one unit per output token,
+        and the speedup is 0.0 when the rounds cost nothing."""
+        draft = math.fsum(r.draft_latency for r in rounds)
+        verify = math.fsum(r.verify_latency for r in rounds)
+        total = draft + verify
+        vanilla = float(len(output))
+        return cls(
+            config, seed, prompt, vocab, rounds, output,
+            draft, verify, total, vanilla, vanilla / total if total > 0 else 0.0,
+        )
 
     def to_dict(self) -> dict:
         return self._as_dict([r.to_dict() for r in self.rounds])
@@ -335,7 +343,7 @@ class Transcript:
             raise IoError(f"transcript is malformed: expected an object, got {type(obj).__name__}")
         version = obj.get("schema_version")
         if type(version) is not int or version != TRANSCRIPT_SCHEMA_VERSION:
-            raise SchemaVersionMismatch(
+            raise ConfigError(
                 f"transcript schema_version {version!r} unsupported "
                 f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
             )
@@ -343,20 +351,24 @@ class Transcript:
             if type(obj["config"]) is not dict:
                 raise IoError(f"transcript is malformed: config must be an object, got {obj['config']!r}")
             columns = _round_columns(_list_of(dict, obj["rounds"], "rounds"))
-            t = cls(
-                config=obj["config"],
-                seed=_list_of(int, obj["seed"], "seed"),
-                prompt=_list_of(int, obj["prompt"], "prompt"),
-                vocab=_list_of(str, obj["vocab"], "vocab"),
-                rounds=[RoundRecord(*r) for r in zip(*columns.values())],
-                output=_list_of(int, obj["output"], "output"),
-                draft_latency=_number(float, obj["draft_latency"], "draft_latency"),
-                verify_latency=_number(float, obj["verify_latency"], "verify_latency"),
-                total_latency=_number(float, obj["total_latency"], "total_latency"),
-                vanilla_latency=_number(float, obj["vanilla_latency"], "vanilla_latency"),
-                speedup=_number(float, obj["speedup"], "speedup"),
+            t = cls.of(
+                obj["config"],
+                _list_of(int, obj["seed"], "seed"),
+                _list_of(int, obj["prompt"], "prompt"),
+                _list_of(str, obj["vocab"], "vocab"),
+                [RoundRecord(*r) for r in zip(*columns.values())],
+                _list_of(int, obj["output"], "output"),
             )
-            _check_totals(t, columns)
+            for name, relation in _TOTALS:  # bit for bit
+                stored = _number(float, obj[name], name)
+                if stored != getattr(t, name):
+                    raise IoError(f"transcript is malformed: {name} {stored} is not {relation}")
+            # The stored total equals this one; a dict, unlike JSON, can hold an infinity.
+            if not math.isfinite(t.total_latency):
+                raise IoError(
+                    f"transcript is malformed: total_latency {t.total_latency} is not "
+                    "draft_latency + verify_latency, or not finite"
+                )
         except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
         proposed = list(chain.from_iterable(columns["proposed_tokens"]))
@@ -448,7 +460,7 @@ def run_episode(
     ignore the memo.
     """
     if target.vocabulary.tokens != drafter.backbone.vocabulary.tokens:
-        raise VocabularyMismatch("target and drafter must share one vocabulary")
+        raise ConfigError("target and drafter must share one vocabulary")
     if verifier not in VERIFIER_KINDS:
         raise ConfigError(f"unknown verifier kind: {verifier!r}")
     if max_tokens < 1:
@@ -507,22 +519,8 @@ def run_episode(
         if len(output) >= max_tokens:
             del output[max_tokens:]
             done = True
-    draft_total = math.fsum(r.draft_latency for r in rounds)
-    verify_total = math.fsum(r.verify_latency for r in rounds)
-    total = draft_total + verify_total
-    vanilla = float(len(output))
-    return Transcript(
-        config=dict(config_snapshot or {}),
-        seed=seed_list,
-        prompt=prompt,
-        vocab=list(target.vocabulary.tokens),
-        rounds=rounds,
-        output=output,
-        draft_latency=draft_total,
-        verify_latency=verify_total,
-        total_latency=total,
-        vanilla_latency=vanilla,
-        speedup=vanilla / total if total > 0 else 0.0,
+    return Transcript.of(
+        dict(config_snapshot or {}), seed_list, prompt, list(target.vocabulary.tokens), rounds, output
     )
 
 
@@ -555,7 +553,7 @@ def run_workload(case: SweepCase, prompts: Sequence[Sequence[int]]) -> list[Tran
     first two; a wrapper must pass ``memo`` on unchanged.
     """
     if not prompts:
-        raise EmptyWorkload("no prompts to run")
+        raise ConfigError("no prompts to run")
     memo: dict = {}
     return [
         run_episode(
@@ -586,5 +584,5 @@ def sweep(
     because the benchmark suite still passes it.
     """
     if not cases:
-        raise EmptyWorkload("no sweep cases")
+        raise ConfigError("no sweep cases")
     return [(case, run_workload(case, prompts)) for case in cases]

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and ``check_number``, the
 one type check that every settings class and the config loader apply.
 
-Two families matter for the CLI exit-code contract: validation problems
-(bad config, bad inputs, bad hyperparameters) exit with code 1, while
-environmental or internal failures exit with code 2.
+There is one class per CLI exit code: ``ConfigError`` covers every
+validation problem (bad config, bad inputs, bad hyperparameters) and exits
+with code 1, while ``IoError`` covers environmental failures and exits with
+code 2. Both derive from ``SpecLabError``, which the CLI catches.
 """
 
 from __future__ import annotations
@@ -23,61 +24,16 @@ class SpecLabError(Exception):
 
 
 class ConfigError(SpecLabError):
-    """A run configuration is malformed, has unknown keys, or fails validation."""
-
-
-class EmptyCorpus(SpecLabError):
-    """The training corpus contains no tokens."""
-
-
-class InvalidOrder(SpecLabError):
-    """An n-gram order below 1 was requested."""
-
-
-class UnknownToken(SpecLabError):
-    """Text cannot be encoded because a token is not in the vocabulary."""
+    """Every validation failure (exit code 1): a malformed config or an
+    unknown key, an empty corpus or workload, a token outside the vocabulary,
+    an unsupported schema version, mismatched models, out-of-range theory
+    parameters, or a transcript with no rounds."""
 
 
 class IoError(SpecLabError):
     """A file could not be read or written, or its payload is not parseable."""
 
     exit_code = EXIT_RUNTIME
-
-
-class SchemaVersionMismatch(SpecLabError):
-    """An on-disk artifact names a schema version this build does not support."""
-
-
-class NoMaskedSlots(SpecLabError):
-    """A denoise step was requested on a block with nothing left to unmask."""
-
-
-class ZeroDraftProbability(SpecLabError):
-    """Stochastic verification hit a drafted token with zero draft probability."""
-
-
-class VocabularyMismatch(SpecLabError):
-    """Target and drafter models do not share a vocabulary."""
-
-
-class InvalidAlpha(SpecLabError):
-    """Acceptance rate outside the open interval (0, 1)."""
-
-
-class InvalidTheoryParams(SpecLabError):
-    """Speculation length, cost ratio, or block size out of range."""
-
-
-class EmptyWorkload(SpecLabError):
-    """A sweep was started with no prompts."""
-
-
-class MissingTranscripts(SpecLabError):
-    """Report rendering found no transcripts in the run directory."""
-
-
-class EmptyTranscript(SpecLabError):
-    """Summary statistics were requested for a transcript with no rounds."""
 
 
 def check_number(value, kind: type, where: str, at_least: int | None = None):

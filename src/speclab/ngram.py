@@ -18,15 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCorpus,
-    InvalidOrder,
-    IoError,
-    SchemaVersionMismatch,
-    UnknownToken,
-    check_number,
-)
+from .errors import ConfigError, IoError, check_number
 
 EOS_TOKEN = "<eos>"
 MODEL_SCHEMA_VERSION = 1
@@ -49,7 +41,7 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         if len(self.tokens) < 2:
-            raise EmptyCorpus("vocabulary needs at least one content token plus <eos>")
+            raise ConfigError("vocabulary needs at least one content token plus <eos>")
         if self.tokens[-1] != EOS_TOKEN:
             raise ConfigError("vocabulary must end with the <eos> token")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
@@ -67,13 +59,13 @@ class Vocabulary:
         try:
             return self._index[token]
         except KeyError:
-            raise UnknownToken(f"token not in vocabulary: {token!r}") from None
+            raise ConfigError(f"token not in vocabulary: {token!r}") from None
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         try:
             return list(map(self._index.__getitem__, tokens))
         except KeyError as exc:
-            raise UnknownToken(f"token not in vocabulary: {exc.args[0]!r}") from None
+            raise ConfigError(f"token not in vocabulary: {exc.args[0]!r}") from None
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -89,7 +81,7 @@ def build_vocab(docs: Sequence[Sequence[str]]) -> Vocabulary:
             if tok not in seen:
                 seen[tok] = None
     if not seen:
-        raise EmptyCorpus("corpus has no tokens")
+        raise ConfigError("corpus has no tokens")
     return Vocabulary(tuple(seen) + (EOS_TOKEN,))
 
 
@@ -217,11 +209,11 @@ class NGramModel:
         counts: dict[tuple[int, ...], dict[int, int]] | _SuffixTrie,
     ) -> None:
         if order < 1:
-            raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
+            raise ConfigError(f"n-gram order must be >= 1, got {order}")
         check_number(smoothing, float, "smoothing", at_least=0)
         if not isinstance(counts, _SuffixTrie):
             if () not in counts:
-                raise EmptyCorpus("model has no unigram counts")
+                raise ConfigError("model has no unigram counts")
             counts = _SuffixTrie.from_counts(counts, len(vocabulary))
         self.vocabulary = vocabulary
         self.order = order
@@ -243,7 +235,7 @@ class NGramModel:
         training at ``order``. A higher order would need contexts the table
         never counted, so ``order`` must be in 1..``self.order``."""
         if not 1 <= order <= self.order:
-            raise InvalidOrder(f"view order must be in 1..{self.order}, got {order}")
+            raise ConfigError(f"view order must be in 1..{self.order}, got {order}")
         return NGramModel(self.vocabulary, order, smoothing, self._trie)
 
     def window(self, context: Sequence[int]) -> tuple[int, ...]:
@@ -342,7 +334,7 @@ def train_ngram(
     is built from the arrays when it is first read.
     """
     if order < 1:
-        raise InvalidOrder(f"n-gram order must be >= 1, got {order}")
+        raise ConfigError(f"n-gram order must be >= 1, got {order}")
     if vocabulary is None:
         vocabulary = build_vocab(docs)
     lengths = [len(doc) + 1 for doc in docs]
@@ -356,7 +348,7 @@ def train_ngram(
     if np.count_nonzero(ids == vocabulary.eos_id) != len(lengths):
         raise ConfigError("corpus contains the reserved <eos> token")
     if len(ids) == len(lengths):
-        raise EmptyCorpus("corpus has no tokens")
+        raise ConfigError("corpus has no tokens")
     return NGramModel(vocabulary, order, smoothing, _count_windows(ids, lengths, order, len(vocabulary)))
 
 
@@ -485,7 +477,7 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
 
     Raises :class:`IoError` on unreadable, unparseable or malformed files (a
     field of the wrong type, a count that is not a positive integer or
-    overflows int64, a non-finite smoothing) and :class:`SchemaVersionMismatch` on a version
+    overflows int64, a non-finite smoothing) and :class:`ConfigError` on a version
     this build does not support; never returns a partially valid model.
     """
     try:
@@ -499,7 +491,7 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
         raise IoError(f"{path} is not an n-gram model file")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
+        raise ConfigError(
             f"model schema_version {version!r} unsupported (expected {MODEL_SCHEMA_VERSION})"
         )
     try:
@@ -521,5 +513,5 @@ def load_model(path: str | os.PathLike[str]) -> NGramModel:
             ctx = () if key == "" else tuple(index[t] for t in key.split(_CTX_SEP))
             counts[ctx] = {index[t]: c for t, c in bucket.items()}
         return NGramModel(vocabulary, order, smoothing, counts)
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError, EmptyCorpus) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise IoError(f"model file {path} is malformed: {exc}") from exc

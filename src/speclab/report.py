@@ -22,7 +22,7 @@ from .analysis import (
     summarize,
 )
 from .engine import Transcript
-from .errors import EmptyTranscript, IoError, MissingTranscripts
+from .errors import ConfigError, IoError
 from .svg import render_breakdown, render_raster, render_step_cdfs
 from .tokenizers import detokenize
 
@@ -55,19 +55,15 @@ def _run_order(path: str) -> tuple:
 
 def load_transcripts(run_dir: str | os.PathLike[str]) -> list[Transcript]:
     """Load every ``transcript_*.json`` under ``run_dir`` in run order: by the
-    integer in the name, then names that hold none, by name."""
+    integer in the name, then names that hold none, by name. A bundle reads
+    every transcript's rounds, so one that holds none fails naming its file."""
     paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")), key=_run_order)
     if not paths:
-        raise MissingTranscripts(f"no transcript_*.json files in {run_dir}")
-    return require_rounds(paths, [Transcript.load(p) for p in paths])
-
-
-def require_rounds(paths: list[str], transcripts: list[Transcript]) -> list[Transcript]:
-    """``transcripts``, saved at ``paths``, once each is known to hold a round:
-    a bundle reads every transcript's rounds, so an empty one fails naming its file."""
+        raise ConfigError(f"no transcript_*.json files in {run_dir}")
+    transcripts = [Transcript.load(p) for p in paths]
     for path, t in zip(paths, transcripts):
         if not t.rounds:
-            raise EmptyTranscript(f"{path} has no rounds")
+            raise ConfigError(f"{path} has no rounds")
     return transcripts
 
 

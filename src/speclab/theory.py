@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidAlpha, InvalidTheoryParams
+from .errors import ConfigError
 
 DRAFTER_AR = "ar"
 DRAFTER_BLOCK = "block_parallel"
@@ -27,21 +27,21 @@ DRAFTER_BLOCK = "block_parallel"
 def expected_tokens_per_round(alpha: float, gamma: int) -> float:
     """(1 - alpha**(gamma+1)) / (1 - alpha): accepted prefix + 1, in expectation."""
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"acceptance rate must be in (0, 1), got {alpha}")
+        raise ConfigError(f"acceptance rate must be in (0, 1), got {alpha}")
     if gamma < 1:
-        raise InvalidTheoryParams(f"speculation length must be >= 1, got {gamma}")
+        raise ConfigError(f"speculation length must be >= 1, got {gamma}")
     return (1.0 - alpha ** (gamma + 1)) / (1.0 - alpha)
 
 
 def drafter_passes(gamma: int, drafter_kind: str, block_size: int = 8) -> int:
     """Drafter passes per round: gamma for AR, ceil(gamma/block) for block-parallel."""
     if block_size < 1:
-        raise InvalidTheoryParams(f"block size must be >= 1, got {block_size}")
+        raise ConfigError(f"block size must be >= 1, got {block_size}")
     if drafter_kind == DRAFTER_AR:
         return gamma
     if drafter_kind == DRAFTER_BLOCK:
         return math.ceil(gamma / block_size)
-    raise InvalidTheoryParams(f"unknown drafter kind: {drafter_kind!r}")
+    raise ConfigError(f"unknown drafter kind: {drafter_kind!r}")
 
 
 def theoretical_speedup(
@@ -54,7 +54,7 @@ def theoretical_speedup(
     """Expected tokens per round divided by expected round cost."""
     tokens = expected_tokens_per_round(alpha, gamma)
     if not 0.0 <= cost_ratio < math.inf:
-        raise InvalidTheoryParams(f"cost ratio must be a finite number >= 0, got {cost_ratio}")
+        raise ConfigError(f"cost ratio must be a finite number >= 0, got {cost_ratio}")
     return tokens / (drafter_passes(gamma, drafter_kind, block_size) * cost_ratio + 1.0)
 
 
@@ -86,6 +86,6 @@ def curve_peak(gammas: list[int], values: list[float]) -> tuple[int, float]:
     """The grid point of the largest of ``values``, a curve over ``gammas``,
     and that value (first hit wins on exact ties)."""
     if not gammas:
-        raise InvalidTheoryParams("empty speculation-length grid")
+        raise ConfigError("empty speculation-length grid")
     best_idx = max(range(len(values)), key=lambda i: (values[i], -i))
     return gammas[best_idx], values[best_idx]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ZeroDraftProbability
+from .errors import ConfigError
 from .drafter import DraftProposal
 from .ngram import NGramModel, argmax_token
 
@@ -60,7 +60,7 @@ def accept_probability(target_dist: np.ndarray, draft_dist: np.ndarray, token: i
     """min(1, p(token)/q(token)); q(token) must be strictly positive."""
     q = float(draft_dist[token])
     if q <= 0.0:
-        raise ZeroDraftProbability(f"draft probability of token {token} is zero")
+        raise ConfigError(f"draft probability of token {token} is zero")
     return min(1.0, float(target_dist[token]) / q)
 
 

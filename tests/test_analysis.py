@@ -29,7 +29,7 @@ from speclab.analysis import (
 )
 from speclab.drafter import DiffusionDrafter
 from speclab.engine import CostModel, RoundRecord, Transcript, run_episode
-from speclab.errors import EmptyTranscript, EmptyWorkload
+from speclab.errors import ConfigError
 from speclab.ngram import train_ngram
 from speclab.policies import FixedDLLM
 
@@ -113,7 +113,7 @@ class TestSummarize:
         assert stats.speedup == pytest.approx(vanilla / total, abs=1e-15)
 
     def test_empty_input_is_an_error(self):
-        with pytest.raises(EmptyTranscript):
+        with pytest.raises(ConfigError, match="no rounds to summarize"):
             summarize([])
 
     def test_matches_brute_force_on_random_batch(self):
@@ -248,7 +248,7 @@ class TestLengthCdf:
         assert [v for v, _ in accepted] == sorted({s[1] for s in specs})
 
     def test_empty_input_is_an_error(self):
-        with pytest.raises(EmptyTranscript):
+        with pytest.raises(ConfigError, match="no rounds to build a length CDF"):
             accepted_length_cdf([])
 
 
@@ -269,7 +269,7 @@ class TestLatencyBreakdown:
         assert b.draft_share + b.verify_share == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_input_is_an_error(self):
-        with pytest.raises(EmptyTranscript):
+        with pytest.raises(ConfigError, match="no rounds to break down"):
             latency_breakdown([])
 
 
@@ -293,7 +293,7 @@ class TestAgreementBySteps:
 
     def test_no_full_block_is_an_error(self, mixed_lab):
         prompt = mixed_lab.prompts(1, seed=42)[0]
-        with pytest.raises(EmptyWorkload):
+        with pytest.raises(ConfigError, match="no full blocks to score agreement on"):
             agreement_by_steps(mixed_lab.target, mixed_lab.drafter, [prompt], 3)
 
 

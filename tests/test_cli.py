@@ -557,3 +557,84 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
         assert "non-finite number" in err[0]
         assert not (tmp_path / "summary.csv").exists()
+
+
+def report_on(run_out, tmp_path, **changes):
+    """``speclab report`` argv for a copy of the first ``run_out`` transcript with ``changes``."""
+    t = json.loads((run_out / "transcript_0000.json").read_text(encoding="utf-8"))
+    t.update(changes)
+    (tmp_path / "transcript_0000.json").write_text(json.dumps(t), encoding="utf-8")
+    return ["report", str(tmp_path)]
+
+
+def train_on_blank_lines(tmp_path):
+    corpus = tmp_path / "blank.txt"
+    corpus.write_text("\n\n\n", encoding="utf-8")
+    return ["train", str(corpus), "--out", str(tmp_path / "models")]
+
+
+def run_unknown_prompt(tmp_path, trained):
+    write_corpus(tmp_path)
+    (tmp_path / "prompts.txt").write_text("the zebra\n", encoding="utf-8")
+    cfg = write_config(
+        tmp_path, prompt_sample=None, prompt_file="prompts.txt",
+        target={"model_file": str(trained / "corpus.target.json")},
+    )
+    return ["run", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def run_mismatched_models(tmp_path, trained):
+    write_corpus(tmp_path)
+    other = tmp_path / "other.txt"
+    other.write_text("the cat sat on the mat by the zoo\n", encoding="utf-8")
+    assert main(["train", str(other), "--out", str(tmp_path)]) == 0
+    cfg = write_config(
+        tmp_path,
+        target={"model_file": str(trained / "corpus.target.json")},
+        drafter={"model_file": "other.drafter.json"},
+    )
+    return ["run", str(cfg), "--out", str(tmp_path / "out")]
+
+
+class TestValidationFailures:
+    """Every family of validation failure the CLI reaches exits 1 with one
+    ``error:`` line that says which it is."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            pytest.param(
+                lambda tmp, run_out, trained: report_on(run_out, tmp, schema_version=2),
+                "transcript schema_version 2 unsupported", id="report-schema-version-2",
+            ),
+            pytest.param(
+                lambda tmp, run_out, trained: report_on(
+                    run_out, tmp, rounds=[], output=[], draft_latency=0.0, verify_latency=0.0,
+                    total_latency=0.0, vanilla_latency=0.0, speedup=0.0,
+                ),
+                "transcript_0000.json has no rounds", id="report-zero-rounds",
+            ),
+            pytest.param(
+                lambda tmp, run_out, trained: train_on_blank_lines(tmp),
+                "has no documents", id="train-blank-corpus",
+            ),
+            pytest.param(
+                lambda tmp, run_out, trained: ["theory", "--block-size", "0", "--out", str(tmp / "theory")],
+                "block size must be >= 1, got 0", id="theory-block-size-0",
+            ),
+            pytest.param(
+                lambda tmp, run_out, trained: run_unknown_prompt(tmp, trained),
+                "token not in vocabulary: 'z'", id="run-prompt-outside-vocabulary",
+            ),
+            pytest.param(
+                lambda tmp, run_out, trained: run_mismatched_models(tmp, trained),
+                "target and drafter must share one vocabulary", id="run-vocabulary-mismatch",
+            ),
+        ],
+    )
+    def test_exits_1_with_one_error_line(self, tmp_path, run_out, trained, capsys, argv, fragment):
+        argv = argv(tmp_path, run_out, trained)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err

@@ -19,7 +19,7 @@ from speclab.config import (
 from speclab.corpora import sample_prompts
 from speclab.drafter import DiffusionDrafter
 from speclab.engine import SweepCase, run_workload
-from speclab.errors import ConfigError, EmptyCorpus, IoError, UnknownToken
+from speclab.errors import ConfigError, IoError
 from speclab.policies import FailFast, FixedAR, FixedDLLM
 
 
@@ -170,7 +170,7 @@ class TestReadCorpus:
     def test_empty_corpus(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("\n\n", encoding="utf-8")
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ConfigError, match="has no documents"):
             read_corpus(str(path))
 
 
@@ -358,7 +358,7 @@ class TestOneTablePerCorpus:
             ({"max_tokens": 0}, "max_tokens"),
             ({"drafter": {"order": 2, "smoothing": 0.1, "block_size": 0}}, "block size"),
             ({"drafter": {"order": 2, "smoothing": 0.1, "unmask_threshold": 0}}, "unmask threshold"),
-            ({"cost": {"draft_pass_cost": -1}}, "pass costs"),
+            ({"cost": {"draft_pass_cost": -1}}, "draft_pass_cost must be >= 0"),
             ({"verifier": "quorum"}, "verifier kind"),
             ({"verifier": "stochastic", "drafter": {"order": 2, "smoothing": 0.0}}, "unsmoothed"),
             ({"prompt_sample": {"count": 0}}, "prompt_sample count"),
@@ -407,7 +407,7 @@ class TestOneTablePerCorpus:
         (workdir / "prompts.txt").write_text("the cat\nthe zebra\n", encoding="utf-8")
         cfg = base_config(prompt_file="prompts.txt", target={"model_file": "models/corpus.target.json"})
         del cfg["prompt_sample"]
-        with pytest.raises(UnknownToken, match="'z'"):
+        with pytest.raises(ConfigError, match="'z'"):
             materialize(cfg, str(workdir))
         assert train_calls == []
 

@@ -24,7 +24,7 @@ from speclab.drafter import (
     modal_chain,
     one_step_block,
 )
-from speclab.errors import ConfigError, NoMaskedSlots
+from speclab.errors import ConfigError
 from speclab.ngram import argmax_token, train_ngram
 
 import numpy as np
@@ -96,7 +96,7 @@ class TestDenoiseStep:
         state = BlockState(prefix=ids(bigram, "b"), block_size=2)
         while not state.all_unmasked:
             denoise_step(bigram, state, 0.9)
-        with pytest.raises(NoMaskedSlots):
+        with pytest.raises(ConfigError, match="block is already fully unmasked"):
             denoise_step(bigram, state, 0.9)
 
 

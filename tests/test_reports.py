@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from speclab import svg
 from speclab.analysis import build_raster, summarize
 from speclab.engine import CostModel, RoundRecord, Transcript, run_episode
-from speclab.errors import EmptyTranscript, IoError, MissingTranscripts
+from speclab.errors import ConfigError, IoError
 from speclab.policies import FixedAR, FixedDLLM
 from speclab.report import (
     EASY_RUN_THRESHOLDS,
@@ -107,7 +107,7 @@ class TestLoadTranscripts:
         assert len(first) < len(confidences)
 
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(MissingTranscripts):
+        with pytest.raises(ConfigError, match=r"no transcript_\*\.json files in"):
             load_transcripts(tmp_path)
 
     def test_roundless_transcript_is_rejected(self, tmp_path):
@@ -115,7 +115,7 @@ class TestLoadTranscripts:
         t.rounds = []
         t.draft_latency = t.verify_latency = t.total_latency = t.speedup = 0.0  # what no rounds add up to
         t.save(tmp_path / "transcript_0000.json")
-        with pytest.raises(EmptyTranscript):
+        with pytest.raises(ConfigError, match="transcript_0000.json has no rounds"):
             load_transcripts(tmp_path)
 
     def test_corrupt_file(self, tmp_path):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab.errors import InvalidAlpha, InvalidTheoryParams
+from speclab.errors import ConfigError
 from speclab.theory import (
     DRAFTER_AR,
     DRAFTER_BLOCK,
@@ -64,7 +64,7 @@ class TestPassCounts:
         assert drafter_passes(gamma, DRAFTER_BLOCK, 8) == expected
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="unknown drafter kind"):
             drafter_passes(4, "quantum")
 
 
@@ -106,29 +106,29 @@ class TestMaximizers:
         assert bp_value > ar_value
 
     def test_empty_grid(self):
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="empty speculation-length grid"):
             best_gamma(0.8, [], 0.05)
 
 
 class TestValidation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
     def test_alpha_bounds(self, alpha):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match="acceptance rate must be in"):
             expected_tokens_per_round(alpha, 4)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match="acceptance rate must be in"):
             theoretical_speedup(alpha, 4, 0.05)
 
     def test_other_parameters(self):
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="speculation length must be >= 1"):
             theoretical_speedup(0.8, 0, 0.05)
         for cost_ratio in (-0.01, float("nan"), float("inf")):
-            with pytest.raises(InvalidTheoryParams):
+            with pytest.raises(ConfigError, match="cost ratio must be a finite number >= 0"):
                 theoretical_speedup(0.8, 4, cost_ratio)
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="unknown drafter kind"):
             theoretical_speedup(0.8, 4, 0.05, drafter_kind="oracle")
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="block size must be >= 1"):
             theoretical_speedup(0.8, 4, 0.05, block_size=0)
-        with pytest.raises(InvalidTheoryParams):
+        with pytest.raises(ConfigError, match="block size must be >= 1"):
             drafter_passes(4, DRAFTER_BLOCK, 0)
 
 

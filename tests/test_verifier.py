@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.drafter import DraftProposal
-from speclab.errors import ConfigError, ZeroDraftProbability
+from speclab.errors import ConfigError
 from speclab.ngram import train_ngram
 from speclab.verifier import (
     accept_probability,
@@ -70,7 +70,7 @@ class TestAcceptanceRule:
     def test_zero_draft_probability_is_an_error(self):
         p = np.array([0.6, 0.4])
         q = np.array([1.0, 0.0])
-        with pytest.raises(ZeroDraftProbability):
+        with pytest.raises(ConfigError, match="draft probability of token 1 is zero"):
             accept_probability(p, q, 1)
 
     def test_residual_concentrates_where_target_exceeds_draft(self):
