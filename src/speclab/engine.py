@@ -156,11 +156,13 @@ class RoundRecord:
     """Everything one propose-verify round contributed to the episode.
 
     Under greedy verification ``run_workload`` hands one record to every
-    transcript of the call whose round starts at the same window, lists
-    included, so a record is read-only: copy it to change it. The memo marks
-    each record it shares with ``share``, and ``Transcript.to_json`` then
-    encodes it once per process and keeps the text. Other records keep no
-    text: a stochastic round never recurs.
+    transcript of the call whose round starts at the same window, and
+    ``report.load_transcripts`` hands one to every transcript whose file
+    holds the same round text, lists included; so a record is read-only:
+    copy it to change it. Both memos mark each record they share with
+    ``share``, and ``Transcript.to_json`` then encodes it once per process
+    and keeps the text. Other records keep no text: a stochastic round never
+    recurs.
     """
 
     proposed_len: int
@@ -208,8 +210,12 @@ def _round_columns(rounds: list) -> dict[str, list]:
     """The loaded round objects as one checked column per ``RoundRecord``
     field, in field order: each value has its field's type, each round is
     one that verification could have produced (``bonus`` exactly when the
-    whole draft was accepted) and no latency is negative."""
-    columns = {name: [r[name] for r in rounds] for name in _ROUND_FIELDS}
+    whole draft was accepted), no token id is negative, a draft of no passes
+    costs nothing and every verify round costs at least one unit."""
+    try:
+        columns = {name: [r[name] for r in rounds] for name in _ROUND_FIELDS}
+    except KeyError as exc:
+        raise IoError(f"transcript is malformed: {exc!r}") from exc
     kinds = columns["replacement_kind"]
     if kinds.count(BONUS) + kinds.count(CORRECTION) != len(kinds):
         kind = next(k for k in kinds if k not in (BONUS, CORRECTION))
@@ -236,32 +242,52 @@ def _round_columns(rounds: list) -> dict[str, list]:
                 f"transcript is malformed: a round that accepted {accepted} of "
                 f"{proposed} tokens ends in a {kind}"
             )
-    for name in ("draft_latency", "verify_latency"):
-        # min() can pass over a NaN; the totals check sums it and catches it.
-        if not min(columns[name], default=0.0) >= 0.0:
+    if 0 in columns["drafter_passes"]:  # a draft costs passes x draft_pass_cost
+        for passes, draft in zip(columns["drafter_passes"], columns["draft_latency"]):
+            if passes == 0 and draft != 0.0:
+                raise IoError(
+                    f"transcript is malformed: a round has draft_latency {draft} and drafter_passes 0"
+                )
+    # min() can pass over a NaN; the totals check sums it and catches it.
+    for name, floor in (("draft_latency", 0.0), ("verify_latency", 1.0)):
+        if not min(columns[name], default=floor) >= floor:
             raise IoError(f"transcript is malformed: a round has {name} {min(columns[name])}")
+    ids = chain(columns["replacement_token"], chain.from_iterable(columns["proposed_tokens"]))
+    if not min(ids, default=0) >= 0:
+        raise IoError("transcript is malformed: a token id lies outside the vocabulary")
     return columns
 
 
-def _check_output(output: list[int], columns: dict[str, list], eos: int) -> None:
+def _records(columns: dict[str, list]) -> list[RoundRecord]:
+    """One record per round of ``_round_columns``' columns."""
+    return [RoundRecord(*r) for r in zip(*columns.values())]
+
+
+def _commits(columns: dict[str, list]) -> list[list[int]]:
+    """The tokens each round commits: ``proposed_tokens[:accepted_len] + [replacement_token]``."""
+    return [
+        tokens[:accepted] + [replacement]
+        for tokens, accepted, replacement in zip(
+            columns["proposed_tokens"], columns["accepted_len"], columns["replacement_token"]
+        )
+    ]
+
+
+def _check_output(output: list[int], commits: Sequence[list[int]], eos: int) -> None:
     """``output`` must be what the rounds commit, each ``proposed_tokens[:accepted_len]
-    + [replacement_token]``, cut at the first ``<eos>``; or a prefix of that
-    which ends inside the last round, where ``max_tokens`` cut it. The round
-    that commits ``<eos>`` ends the episode, so it must be the last."""
-    commits: list[int] = []
-    for tokens, accepted, replacement in zip(
-        columns["proposed_tokens"], columns["accepted_len"], columns["replacement_token"]
-    ):
-        before_last = len(commits)
-        commits += tokens[:accepted]
-        commits.append(replacement)
-    if eos in commits:
-        end = commits.index(eos)
+    + [replacement_token]`` as listed in ``commits``, cut at the first ``<eos>``;
+    or a prefix of that which ends inside the last round, where ``max_tokens``
+    cut it. The round that commits ``<eos>`` ends the episode, so it must be
+    the last."""
+    flat = list(chain.from_iterable(commits))
+    before_last = len(flat) - len(commits[-1])
+    if eos in flat:
+        end = flat.index(eos)
         if end < before_last:
             raise IoError("transcript is malformed: a round follows the round that committed <eos>")
-        del commits[end:]
+        del flat[end:]
     n = len(output)
-    if output != commits[:n] or not (n == len(commits) or n > before_last):
+    if output != flat[:n] or not (n == len(flat) or n > before_last):
         raise IoError("transcript is malformed: output is not what the rounds commit")
 
 
@@ -273,6 +299,90 @@ _TOTALS = (
     ("vanilla_latency", "the output length"),
     ("speedup", "vanilla_latency / total_latency"),
 )
+
+
+def _check_header(obj: object) -> None:
+    """Refuse a transcript that is no object, of another schema version, or
+    whose config is no object."""
+    if not isinstance(obj, dict):
+        raise IoError(f"transcript is malformed: expected an object, got {type(obj).__name__}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != TRANSCRIPT_SCHEMA_VERSION:
+        raise ConfigError(
+            f"transcript schema_version {version!r} unsupported "
+            f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
+        )
+    config = obj.get("config", {})  # a missing config fails with the other missing fields
+    if type(config) is not dict:
+        raise IoError(f"transcript is malformed: config must be an object, got {config!r}")
+
+
+def _walk(text: str, memo: dict) -> tuple[dict, dict[str, dict] | None] | None:
+    """The top-level object of a compact transcript ``text``, as ``_DECODER``
+    decodes it but for the rounds of a transcript whose config does not say
+    its verifier is stochastic: there ``rounds`` holds the text of each round
+    object, and the second item maps each such text that ``memo`` lacks to
+    the object it decodes to. Otherwise the rounds are decoded in one call
+    and the second item is None: stochastic rounds never recur.
+
+    None when the walk cannot follow ``text``: it is not compact, not JSON,
+    not an object, repeats a key or holds a round that is no object. None
+    also when ``text`` holds a number JSON has not. The caller then decodes
+    ``text`` whole, which gives each result and error.
+    """
+    obj: dict = {}
+    fresh = None
+    try:
+        if text[0] != "{":
+            return None
+        i, sep = 0, ","
+        while sep == ",":
+            key, i = _DECODER.scan_once(text, i + 1)
+            if type(key) is not str or key in obj or text[i] != ":":
+                return None
+            config = obj.get("config")
+            if key == "rounds" and type(config) is dict and config.get("verifier") != VERIFIER_STOCHASTIC:
+                fresh = {}
+                walked = _round_texts(text, i + 1, memo, fresh)
+                if walked is None:
+                    return None
+                obj[key], i = walked
+            else:
+                obj[key], i = _DECODER.scan_once(text, i + 1)
+            sep = text[i]
+    except (StopIteration, IndexError, ValueError, IoError):
+        return None
+    if sep != "}" or text[i + 1:].strip(" \t\n\r"):  # JSON's whitespace
+        return None
+    return obj, fresh
+
+
+def _round_texts(text: str, i: int, memo: dict, fresh: dict[str, dict]) -> tuple[list[str], int] | None:
+    """The text of each round object in the compact array at ``text[i]``,
+    and the index past the array. A round object holds no object, so its
+    text ends at its first ``}``. Each text that neither ``memo`` nor
+    ``fresh`` holds goes into ``fresh`` with the object it decodes to; None
+    when one decodes to no object or ends elsewhere."""
+    if text[i] != "[":
+        return None
+    pieces: list[str] = []
+    if text[i + 1] == "]":
+        return pieces, i + 2
+    sep = ","
+    while sep == ",":
+        start = i + 1
+        i = text.index("}", start) + 1
+        piece = text[start:i]
+        if piece not in memo and piece not in fresh:
+            value, end = _DECODER.scan_once(text, start)
+            if end != i or type(value) is not dict:
+                return None
+            fresh[piece] = value
+        pieces.append(piece)
+        sep = text[i]
+    if sep != "]":
+        return None
+    return pieces, i + 1
 
 
 @dataclass
@@ -339,24 +449,29 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Transcript":
-        if not isinstance(obj, dict):
-            raise IoError(f"transcript is malformed: expected an object, got {type(obj).__name__}")
-        version = obj.get("schema_version")
-        if type(version) is not int or version != TRANSCRIPT_SCHEMA_VERSION:
-            raise ConfigError(
-                f"transcript schema_version {version!r} unsupported "
-                f"(expected {TRANSCRIPT_SCHEMA_VERSION})"
-            )
+        _check_header(obj)
         try:
-            if type(obj["config"]) is not dict:
-                raise IoError(f"transcript is malformed: config must be an object, got {obj['config']!r}")
-            columns = _round_columns(_list_of(dict, obj["rounds"], "rounds"))
+            rounds = obj["rounds"]
+        except KeyError as exc:
+            raise IoError(f"transcript is malformed: {exc!r}") from exc
+        columns = _round_columns(_list_of(dict, rounds, "rounds"))
+        ids = chain(columns["replacement_token"], chain.from_iterable(columns["proposed_tokens"]))
+        return cls._of_checked(obj, _records(columns), _commits(columns), max(ids, default=-1))
+
+    @classmethod
+    def _of_checked(
+        cls, obj: dict, records: list[RoundRecord], commits: Sequence[list[int]], top: int
+    ) -> "Transcript":
+        """The transcript ``obj`` holds, its rounds checked alone as
+        ``_round_columns`` checks them into ``records``, which commit
+        ``commits`` and hold no token id above ``top``; checks the rest."""
+        try:
             t = cls.of(
                 obj["config"],
                 _list_of(int, obj["seed"], "seed"),
                 _list_of(int, obj["prompt"], "prompt"),
                 _list_of(str, obj["vocab"], "vocab"),
-                [RoundRecord(*r) for r in zip(*columns.values())],
+                records,
                 _list_of(int, obj["output"], "output"),
             )
             for name, relation in _TOTALS:  # bit for bit
@@ -371,12 +486,12 @@ class Transcript:
                 )
         except (KeyError, OverflowError) as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
-        proposed = list(chain.from_iterable(columns["proposed_tokens"]))
-        ids = (t.prompt, t.output, columns["replacement_token"], proposed)
-        if not all(0 <= min(x) and max(x) < len(t.vocab) for x in ids if x):
+        # _round_columns saw no round token id below 0.
+        ids = (t.prompt, t.output)
+        if top >= len(t.vocab) or not all(0 <= min(x) and max(x) < len(t.vocab) for x in ids if x):
             raise IoError("transcript is malformed: a token id lies outside the vocabulary")
         if t.rounds:
-            _check_output(t.output, columns, eos=len(t.vocab) - 1)
+            _check_output(t.output, commits, eos=len(t.vocab) - 1)
         return t
 
     def to_json(self) -> str:
@@ -401,10 +516,39 @@ class Transcript:
         return "".join((text[:cut], rounds, text[cut + len("[]"):]))
 
     @classmethod
-    def from_json(cls, text: str) -> "Transcript":
+    def from_json(cls, text: str, memo: dict | None = None) -> "Transcript":
         """Parse ``text``; equal float texts share one float object across
-        every transcript loaded in the process."""
-        return cls.from_dict(_DECODER.decode(text))
+        every transcript loaded in the process.
+
+        ``memo`` is a dict shared by the loads of one batch of files
+        (``report.load_transcripts`` passes one per call). It maps the text
+        of each round object that a compact file holds to its record,
+        checked alone, so loads that meet the same text share one read-only
+        ``RoundRecord`` and decode and check it once; every transcript is
+        still checked as a whole, its shared rounds included. A transcript
+        whose config says its verifier is stochastic, or text in another
+        layout, loads as without a memo and leaves the memo as it was. The
+        result and any error are the same as without a memo.
+        """
+        walked = None if memo is None else _walk(text, memo)
+        if walked is None:
+            return cls.from_dict(_DECODER.decode(text))
+        obj, fresh = walked
+        if fresh is None:
+            return cls.from_dict(obj)
+        _check_header(obj)
+        columns = _round_columns(list(fresh.values()))
+        checked = _records(columns)
+        for record in checked:
+            record.share()
+        tops = [
+            max(tokens + [replacement])
+            for tokens, replacement in zip(columns["proposed_tokens"], columns["replacement_token"])
+        ]
+        memo.update(zip(fresh, zip(checked, _commits(columns), tops)))
+        rounds = [memo[piece] for piece in obj["rounds"]]
+        records, commits, tops = zip(*rounds) if rounds else ((), (), ())
+        return cls._of_checked(obj, list(records), commits, max(tops, default=-1))
 
     def save(self, path: str | os.PathLike[str]) -> None:
         try:
@@ -419,16 +563,21 @@ class Transcript:
             raise IoError(f"cannot write transcript {path}: {exc}") from exc
 
     @classmethod
-    def load(cls, path: str | os.PathLike[str]) -> "Transcript":
+    def load(cls, path: str | os.PathLike[str], memo: dict | None = None) -> "Transcript":
+        """``from_json`` of the file at ``path``, with ``memo``; every error
+        names the file. The records of loads that share a memo are shared and
+        read-only, as ``run_workload``'s are."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
+                return cls.from_json(fh.read(), memo)
         except OSError as exc:
             raise IoError(f"cannot read transcript {path}: {exc}") from exc
         except ValueError as exc:  # also text that is not UTF-8, or an integer past Python's digit limit
             raise IoError(f"transcript {path} is not valid JSON: {exc}") from exc
         except IoError as exc:
             raise IoError(f"{path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def run_episode(

@@ -56,11 +56,17 @@ def _run_order(path: str) -> tuple:
 def load_transcripts(run_dir: str | os.PathLike[str]) -> list[Transcript]:
     """Load every ``transcript_*.json`` under ``run_dir`` in run order: by the
     integer in the name, then names that hold none, by name. A bundle reads
-    every transcript's rounds, so one that holds none fails naming its file."""
+    every transcript's rounds, so one that holds none fails naming its file.
+
+    Every load gets the same fresh memo, so a round text that recurs across
+    the files is decoded and checked once and its ``RoundRecord`` is shared
+    by every transcript that holds it, as ``run_workload`` shares it: the
+    loaded records are read-only."""
     paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")), key=_run_order)
     if not paths:
         raise ConfigError(f"no transcript_*.json files in {run_dir}")
-    transcripts = [Transcript.load(p) for p in paths]
+    memo: dict = {}
+    transcripts = [Transcript.load(p, memo) for p in paths]
     for path, t in zip(paths, transcripts):
         if not t.rounds:
             raise ConfigError(f"{path} has no rounds")

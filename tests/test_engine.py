@@ -210,58 +210,7 @@ class TestTranscriptPersistence:
     def test_malformed_payloads(self, mixed_lab, tmp_path):
         prompt = mixed_lab.prompts(1, seed=33)[0]
         t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
-        no_rounds = t.to_dict()
-        del no_rounds["rounds"]
-        commits = [x for r in t.rounds for x in r.proposed_tokens[: r.accepted_len] + [r.replacement_token]]
-
-        def with_round(**fields):
-            payload = json.loads(t.to_json())
-            payload["rounds"][0].update(fields)
-            return payload
-
-        def with_top(**fields):
-            payload = json.loads(t.to_json())
-            payload.update(fields)
-            return payload
-
-        payloads = [
-            no_rounds,
-            with_round(accepted_len="many"),
-            # Values a lenient loader would coerce must be rejected instead.
-            with_round(proposed_len=3.7),
-            with_round(proposed_len=True),
-            with_round(accepted_len="2"),
-            with_round(replacement_kind=5),
-            with_round(replacement_kind="guess"),
-            with_round(draft_latency="1e3"),
-            with_round(draft_latency=True),
-            with_round(confidences=[0.5, "0.5"]),
-            with_top(output=[1.5]),
-            with_top(seed=[True]),
-            with_top(speedup="2"),
-            with_top(config=[["a", 1]]),
-            with_top(vocab=[1, 2]),
-            # Token ids must index the transcript's own vocabulary.
-            with_top(prompt=[len(t.vocab)]),
-            with_top(output=[-1]),
-            with_round(replacement_token=len(t.vocab)),
-            with_round(proposed_tokens=[0, -1]),
-            # Each round must be one that verification could have produced.
-            with_round(accepted_len=40, proposed_len=-3),
-            with_round(accepted_len=-1),
-            with_round(accepted_len=t.rounds[0].proposed_len + 1),
-            with_round(proposed_len=t.rounds[0].proposed_len + 1),
-            with_round(proposed_tokens=t.rounds[0].proposed_tokens + [0]),
-            with_round(confidences=t.rounds[0].confidences[1:]),
-            with_round(drafter_passes=-1),
-            # The output must be what the rounds commit.
-            with_top(output=[0 if t.output[0] else 1] + t.output[1:]),
-            with_top(output=commits + [commits[0]]),
-            with_top(rounds={}),
-            [t.to_dict()],
-            "text",
-        ]
-        for payload in payloads:
+        for payload in malformed_payloads(t):
             path = tmp_path / "malformed.json"
             path.write_text(json.dumps(payload), encoding="utf-8")
             with pytest.raises(IoError, match="malformed"):
@@ -270,6 +219,82 @@ class TestTranscriptPersistence:
         path.write_text('{"schema_version": 1, "seed": [' + "9" * 5000 + "]}", encoding="utf-8")
         with pytest.raises(IoError, match="not valid JSON"):
             Transcript.load(path)
+
+    def test_malformed_compact_payloads_through_a_warm_memo(self, mixed_lab, tmp_path):
+        """Each payload's unchanged rounds are memo hits and its changed round a miss."""
+        prompt = mixed_lab.prompts(1, seed=33)[0]
+        t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
+        good = tmp_path / "good.json"
+        t.save(good)
+        for payload in malformed_payloads(t):
+            memo: dict = {}
+            assert Transcript.load(good, memo) == t and memo
+            path = tmp_path / "malformed.json"
+            path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+            with pytest.raises(IoError, match="malformed"):
+                Transcript.load(path, memo)
+        path.write_text('{"schema_version":1,"seed":[' + "9" * 5000 + "]}", encoding="utf-8")
+        with pytest.raises(IoError, match="not valid JSON"):
+            Transcript.load(path, memo)
+        missing_keys = t.to_json().replace('"rounds":[', '"rounds":[{"accepted_len":1},', 1)
+        path.write_text(missing_keys, encoding="utf-8")
+        with pytest.raises(IoError, match="malformed: KeyError"):
+            Transcript.load(path, memo)
+
+
+def malformed_payloads(t: Transcript) -> list:
+    """Objects that are not a valid transcript, each ``t`` with one fault."""
+    no_rounds = t.to_dict()
+    del no_rounds["rounds"]
+    commits = [x for r in t.rounds for x in r.proposed_tokens[: r.accepted_len] + [r.replacement_token]]
+
+    def with_round(**fields):
+        payload = json.loads(t.to_json())
+        payload["rounds"][0].update(fields)
+        return payload
+
+    def with_top(**fields):
+        payload = json.loads(t.to_json())
+        payload.update(fields)
+        return payload
+
+    return [
+        no_rounds,
+        with_round(accepted_len="many"),
+        # Values a lenient loader would coerce must be rejected instead.
+        with_round(proposed_len=3.7),
+        with_round(proposed_len=True),
+        with_round(accepted_len="2"),
+        with_round(replacement_kind=5),
+        with_round(replacement_kind="guess"),
+        with_round(draft_latency="1e3"),
+        with_round(draft_latency=True),
+        with_round(confidences=[0.5, "0.5"]),
+        with_top(output=[1.5]),
+        with_top(seed=[True]),
+        with_top(speedup="2"),
+        with_top(config=[["a", 1]]),
+        with_top(vocab=[1, 2]),
+        # Token ids must index the transcript's own vocabulary.
+        with_top(prompt=[len(t.vocab)]),
+        with_top(output=[-1]),
+        with_round(replacement_token=len(t.vocab)),
+        with_round(proposed_tokens=[0, -1]),
+        # Each round must be one that verification could have produced.
+        with_round(accepted_len=40, proposed_len=-3),
+        with_round(accepted_len=-1),
+        with_round(accepted_len=t.rounds[0].proposed_len + 1),
+        with_round(proposed_len=t.rounds[0].proposed_len + 1),
+        with_round(proposed_tokens=t.rounds[0].proposed_tokens + [0]),
+        with_round(confidences=t.rounds[0].confidences[1:]),
+        with_round(drafter_passes=-1),
+        # The output must be what the rounds commit.
+        with_top(output=[0 if t.output[0] else 1] + t.output[1:]),
+        with_top(output=commits + [commits[0]]),
+        with_top(rounds={}),
+        [t.to_dict()],
+        "text",
+    ]
 
 
 def oracle_json(t: Transcript) -> str:
@@ -574,6 +599,26 @@ class TestDerivedFields:
         payload["rounds"][0][name] = -0.05
         with pytest.raises(IoError, match=f"a round has {name} -0.05"):
             Transcript.from_dict(self.retotal(payload))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # Every verify round costs at least one unit.
+            ({"verify_latency": 0.01}, "a round has verify_latency 0.01"),
+            ({"verify_latency": 0.999}, "a round has verify_latency 0.999"),
+            # A draft costs drafter_passes x draft_pass_cost.
+            ({"drafter_passes": 0}, r"a round has draft_latency 0\.\d+ and drafter_passes 0"),
+        ],
+    )
+    def test_a_round_latency_no_cost_model_gives_is_refused(self, payload, tmp_path, change, message):
+        # Every round changed and the totals summed again, so only the rounds
+        # tell: such a file once loaded and reported a speedup the run never had.
+        for r in payload["rounds"]:
+            r.update(change)
+        path = tmp_path / "transcript_0000.json"
+        path.write_text(json.dumps(self.retotal(payload)), encoding="utf-8")
+        with pytest.raises(IoError, match=f"{path}: transcript is malformed: {message}"):
+            Transcript.load(path)
 
     @pytest.mark.parametrize(
         "name, value, message",

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab import svg
+from speclab import engine, svg
 from speclab.analysis import build_raster, summarize
-from speclab.engine import CostModel, RoundRecord, Transcript, run_episode
+from speclab.engine import CostModel, RoundRecord, SweepCase, Transcript, run_episode, run_workload
 from speclab.errors import ConfigError, IoError
-from speclab.policies import FixedAR, FixedDLLM
+from speclab.policies import FailFast, FixedAR, FixedDLLM
 from speclab.report import (
     EASY_RUN_THRESHOLDS,
     SUMMARY_COLUMNS,
@@ -121,6 +121,138 @@ class TestLoadTranscripts:
     def test_corrupt_file(self, tmp_path):
         (tmp_path / "transcript_0000.json").write_text("{oops", encoding="utf-8")
         with pytest.raises(IoError):
+            load_transcripts(tmp_path)
+
+
+def compact(payload) -> str:
+    """JSON in the layout ``Transcript.save`` writes."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def round_texts(path) -> list[str]:
+    """The text of each round object in a saved transcript."""
+    return [compact(r) for r in json.loads(path.read_text(encoding="utf-8"))["rounds"]]
+
+
+def saved_run(directory, mixed_lab, verifier="greedy"):
+    """``run_workload`` on prompts that recur, each transcript saved; returns the transcripts."""
+    prompts = mixed_lab.prompts(6, seed=81)
+    case = SweepCase(
+        label="shared", target=mixed_lab.target, drafter=mixed_lab.drafter, policy=FailFast(),
+        verifier=verifier, max_tokens=40, config_snapshot={"label": "shared", "verifier": verifier},
+    )
+    transcripts = run_workload(case, prompts + prompts[:3])
+    for i, t in enumerate(transcripts):
+        t.save(directory / f"transcript_{i:04d}.json")
+    return transcripts
+
+
+def committed(r: RoundRecord) -> list[int]:
+    return r.proposed_tokens[: r.accepted_len] + [r.replacement_token]
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """The number of round objects ``_round_columns`` checks, in a list that grows per call."""
+    rows: list[int] = []
+    check = engine._round_columns
+
+    def counted(rounds):
+        rows.append(len(rounds))
+        return check(rounds)
+
+    monkeypatch.setattr(engine, "_round_columns", counted)
+    return rows
+
+
+class TestSharedRoundLoading:
+    """``load_transcripts`` decodes and checks each distinct round text once."""
+
+    def test_a_greedy_run_loads_one_record_per_distinct_round_text(self, tmp_path, mixed_lab):
+        transcripts = saved_run(tmp_path, mixed_lab)
+        loaded = load_transcripts(tmp_path)
+        assert loaded == transcripts
+        paths = sorted(tmp_path.glob("transcript_*.json"))
+        for t, path in zip(loaded, paths):
+            assert t.to_json() + "\n" == path.read_text(encoding="utf-8")
+        texts = [text for path in paths for text in round_texts(path)]
+        records = [r for t in loaded for r in t.rounds]
+        assert len({id(r) for r in records}) == len(set(texts)) < len(texts)
+
+    def test_each_distinct_round_text_is_checked_once(self, tmp_path, mixed_lab, checked_rows):
+        """Fails if the loader stops sharing checked rounds, without timing anything."""
+        saved_run(tmp_path, mixed_lab)
+        texts = [text for path in tmp_path.glob("transcript_*.json") for text in round_texts(path)]
+        load_transcripts(tmp_path)
+        assert sum(checked_rows) == len(set(texts)) < len(texts)
+
+    def test_a_shared_round_is_checked_against_each_vocabulary(self, tmp_path, mixed_lab):
+        transcripts = saved_run(tmp_path, mixed_lab)
+        # A round that rejects a token above every token it commits, alone in
+        # a transcript whose vocabulary ends below that token.
+        r = next(
+            r for t in transcripts for r in t.rounds
+            if max(r.proposed_tokens, default=-1) > max(committed(r))
+        )
+        output = committed(r)
+        t = transcripts[0]
+        narrow = Transcript.of(t.config, t.seed, [], t.vocab[: max(output) + 1], [r], output)
+        later = tmp_path / "transcript_9999.json"
+        later.write_text(narrow.to_json() + "\n", encoding="utf-8")
+        shared = {text for path in tmp_path.glob("transcript_0*.json") for text in round_texts(path)}
+        assert set(round_texts(later)) <= shared
+        message = f"{later}: transcript is malformed: a token id lies outside the vocabulary"
+        with pytest.raises(IoError, match=message):
+            load_transcripts(tmp_path)
+        for path in tmp_path.glob("transcript_0*.json"):
+            path.unlink()
+        with pytest.raises(IoError, match=message):  # the same file, its round not shared
+            load_transcripts(tmp_path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("},{", "}x,{"), ('}],"output"', '}x,"output"'), ('}],"output"', '}]x,"output"'), ("}\n", "}x\n")],
+        ids=["after-a-round", "in-place-of-the-bracket", "after-the-rounds", "after-the-object"],
+    )
+    def test_stray_characters_after_a_shared_round_are_not_json(self, tmp_path, mixed_lab, old, new):
+        saved_run(tmp_path, mixed_lab)
+        text = (tmp_path / "transcript_0000.json").read_text(encoding="utf-8")
+        assert text.count(old) >= 1
+        later = tmp_path / "transcript_9999.json"
+        later.write_text(text.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(IoError, match=f"transcript {later} is not valid JSON"):
+            load_transcripts(tmp_path)
+
+    def test_an_indented_file_among_compact_ones_loads_equal(self, tmp_path, mixed_lab):
+        transcripts = saved_run(tmp_path, mixed_lab)
+        indented = tmp_path / "transcript_0001.json"
+        indented.write_text(json.dumps(transcripts[1].to_dict(), indent=1) + "\n", encoding="utf-8")
+        assert load_transcripts(tmp_path) == transcripts
+
+    def test_stochastic_transcripts_leave_the_memo_untouched(
+        self, tmp_path, mixed_lab, monkeypatch, checked_rows
+    ):
+        transcripts = saved_run(tmp_path, mixed_lab, verifier="stochastic")
+        memos = []
+        load = Transcript.load.__func__
+
+        def recorded(cls, path, memo=None):
+            memos.append(memo)
+            return load(cls, path, memo)
+
+        monkeypatch.setattr(Transcript, "load", classmethod(recorded))
+        loaded = load_transcripts(tmp_path)
+        assert loaded == transcripts
+        assert len(memos) == len(transcripts) and all(memo == {} and memo is memos[0] for memo in memos)
+        rounds = sum(len(t.rounds) for t in transcripts)
+        assert sum(checked_rows) == rounds == len({id(r) for t in loaded for r in t.rounds})
+
+    def test_a_file_of_another_schema_version_is_named(self, tmp_path, mixed_lab):
+        saved_run(tmp_path, mixed_lab)
+        later = tmp_path / "transcript_9999.json"
+        payload = json.loads((tmp_path / "transcript_0000.json").read_text(encoding="utf-8"))
+        later.write_text(compact(dict(payload, schema_version=2)) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{later}: transcript schema_version 2 unsupported"):
             load_transcripts(tmp_path)
 
 
