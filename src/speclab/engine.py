@@ -214,47 +214,47 @@ def _round_columns(rounds: list) -> dict[str, list]:
     costs nothing and every verify round costs at least one unit."""
     try:
         columns = {name: [r[name] for r in rounds] for name in _ROUND_FIELDS}
-    except KeyError as exc:
-        raise IoError(f"transcript is malformed: {exc!r}") from exc
-    kinds = columns["replacement_kind"]
-    if kinds.count(BONUS) + kinds.count(CORRECTION) != len(kinds):
-        kind = next(k for k in kinds if k not in (BONUS, CORRECTION))
-        raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
-    for name in ("proposed_len", "accepted_len", "drafter_passes"):
-        columns[name] = _column(int, columns[name], name)
-    columns["proposed_tokens"] = _list_column(int, columns["proposed_tokens"], "proposed_tokens")
-    columns["replacement_token"] = _column(int, columns["replacement_token"], "replacement_token")
-    columns["confidences"] = _list_column(float, columns["confidences"], "confidences")
-    for name in ("draft_latency", "verify_latency"):
-        columns[name] = _column(float, columns[name], name)
-    for accepted, proposed, tokens, confidences, passes, kind in zip(
-        columns["accepted_len"], columns["proposed_len"], columns["proposed_tokens"],
-        columns["confidences"], columns["drafter_passes"], kinds,
-    ):
-        if not (0 <= accepted <= proposed == len(tokens) == len(confidences) and passes >= 0):
-            raise IoError(
-                f"transcript is malformed: a round has accepted_len {accepted}, "
-                f"proposed_len {proposed}, {len(tokens)} proposed_tokens, "
-                f"{len(confidences)} confidences and drafter_passes {passes}"
-            )
-        if (kind == BONUS) != (accepted == proposed):
-            raise IoError(
-                f"transcript is malformed: a round that accepted {accepted} of "
-                f"{proposed} tokens ends in a {kind}"
-            )
-    if 0 in columns["drafter_passes"]:  # a draft costs passes x draft_pass_cost
-        for passes, draft in zip(columns["drafter_passes"], columns["draft_latency"]):
-            if passes == 0 and draft != 0.0:
+        kinds = columns["replacement_kind"]
+        if kinds.count(BONUS) + kinds.count(CORRECTION) != len(kinds):
+            kind = next(k for k in kinds if k not in (BONUS, CORRECTION))
+            raise IoError(f"transcript is malformed: unknown replacement_kind {kind!r}")
+        for name in ("proposed_len", "accepted_len", "drafter_passes"):
+            columns[name] = _column(int, columns[name], name)
+        columns["proposed_tokens"] = _list_column(int, columns["proposed_tokens"], "proposed_tokens")
+        columns["replacement_token"] = _column(int, columns["replacement_token"], "replacement_token")
+        columns["confidences"] = _list_column(float, columns["confidences"], "confidences")
+        for name in ("draft_latency", "verify_latency"):
+            columns[name] = _column(float, columns[name], name)
+        for accepted, proposed, tokens, confidences, passes, kind in zip(
+            columns["accepted_len"], columns["proposed_len"], columns["proposed_tokens"],
+            columns["confidences"], columns["drafter_passes"], kinds,
+        ):
+            if not (0 <= accepted <= proposed == len(tokens) == len(confidences) and passes >= 0):
                 raise IoError(
-                    f"transcript is malformed: a round has draft_latency {draft} and drafter_passes 0"
+                    f"transcript is malformed: a round has accepted_len {accepted}, "
+                    f"proposed_len {proposed}, {len(tokens)} proposed_tokens, "
+                    f"{len(confidences)} confidences and drafter_passes {passes}"
                 )
-    # min() can pass over a NaN; the totals check sums it and catches it.
-    for name, floor in (("draft_latency", 0.0), ("verify_latency", 1.0)):
-        if not min(columns[name], default=floor) >= floor:
-            raise IoError(f"transcript is malformed: a round has {name} {min(columns[name])}")
-    ids = chain(columns["replacement_token"], chain.from_iterable(columns["proposed_tokens"]))
-    if not min(ids, default=0) >= 0:
-        raise IoError("transcript is malformed: a token id lies outside the vocabulary")
+            if (kind == BONUS) != (accepted == proposed):
+                raise IoError(
+                    f"transcript is malformed: a round that accepted {accepted} of "
+                    f"{proposed} tokens ends in a {kind}"
+                )
+        if 0 in columns["drafter_passes"]:  # a draft costs passes x draft_pass_cost
+            for passes, draft in zip(columns["drafter_passes"], columns["draft_latency"]):
+                if passes == 0 and draft != 0.0:
+                    raise IoError(
+                        f"transcript is malformed: a round has draft_latency {draft} and drafter_passes 0"
+                    )
+        # min() can pass over a NaN; the totals check sums it and catches it.
+        for name, floor in (("draft_latency", 0.0), ("verify_latency", 1.0)):
+            if not min(columns[name], default=floor) >= floor:
+                raise IoError(f"transcript is malformed: a round has {name} {min(columns[name])}")
+        ids = chain(columns["replacement_token"], chain.from_iterable(columns["proposed_tokens"]))
+        if not min(ids, default=0) >= 0:
+            raise IoError("transcript is malformed: a token id lies outside the vocabulary")
+    except (KeyError, OverflowError) as exc:  # a missing field; an integer no float holds
+        raise IoError(f"transcript is malformed: {exc!r}") from exc
     return columns
 
 
@@ -271,6 +271,17 @@ def _commits(columns: dict[str, list]) -> list[list[int]]:
             columns["proposed_tokens"], columns["accepted_len"], columns["replacement_token"]
         )
     ]
+
+
+def _checked_rounds(rounds: list) -> tuple[list[RoundRecord], list[list[int]], list[int]]:
+    """Each round object checked alone by ``_round_columns``: its record, the
+    tokens it commits and its largest token id."""
+    columns = _round_columns(rounds)
+    tops = [
+        max(tokens + [replacement])
+        for tokens, replacement in zip(columns["proposed_tokens"], columns["replacement_token"])
+    ]
+    return _records(columns), _commits(columns), tops
 
 
 def _check_output(output: list[int], commits: Sequence[list[int]], eos: int) -> None:
@@ -317,18 +328,18 @@ def _check_header(obj: object) -> None:
         raise IoError(f"transcript is malformed: config must be an object, got {config!r}")
 
 
-def _walk(text: str, memo: dict) -> tuple[dict, dict[str, dict] | None] | None:
+def _walk(text: str, memo: dict) -> tuple[dict, dict[str, dict]] | None:
     """The top-level object of a compact transcript ``text``, as ``_DECODER``
-    decodes it but for the rounds of a transcript whose config does not say
-    its verifier is stochastic: there ``rounds`` holds the text of each round
-    object, and the second item maps each such text that ``memo`` lacks to
-    the object it decodes to. Otherwise the rounds are decoded in one call
-    and the second item is None: stochastic rounds never recur.
+    decodes it but for ``rounds``, which holds the text of each round object,
+    and the map from each such text that ``memo`` lacks to the object it
+    decodes to.
 
     None when the walk cannot follow ``text``: it is not compact, not JSON,
-    not an object, repeats a key or holds a round that is no object. None
-    also when ``text`` holds a number JSON has not. The caller then decodes
-    ``text`` whole, which gives each result and error.
+    not an object, repeats a key, holds no ``rounds`` or holds them before
+    ``config``, or holds a config or a round that is no object. None also when
+    ``text`` holds a number JSON has not, or when its config says its
+    verifier is stochastic: stochastic rounds never recur. The caller then
+    decodes ``text`` whole, which gives each result and error.
     """
     obj: dict = {}
     fresh = None
@@ -340,19 +351,24 @@ def _walk(text: str, memo: dict) -> tuple[dict, dict[str, dict] | None] | None:
             key, i = _DECODER.scan_once(text, i + 1)
             if type(key) is not str or key in obj or text[i] != ":":
                 return None
-            config = obj.get("config")
-            if key == "rounds" and type(config) is dict and config.get("verifier") != VERIFIER_STOCHASTIC:
+            if key == "rounds":
+                if "config" not in obj:
+                    return None
                 fresh = {}
                 walked = _round_texts(text, i + 1, memo, fresh)
                 if walked is None:
                     return None
                 obj[key], i = walked
             else:
-                obj[key], i = _DECODER.scan_once(text, i + 1)
+                value, i = _DECODER.scan_once(text, i + 1)
+                if key == "config" and (type(value) is not dict or value.get("verifier") == VERIFIER_STOCHASTIC):
+                    return None
+                obj[key] = value
             sep = text[i]
     except (StopIteration, IndexError, ValueError, IoError):
         return None
-    if sep != "}" or text[i + 1:].strip(" \t\n\r"):  # JSON's whitespace
+    # After the object, only JSON's whitespace.
+    if sep != "}" or text[i + 1:].strip(" \t\n\r") or fresh is None:
         return None
     return obj, fresh
 
@@ -454,24 +470,24 @@ class Transcript:
             rounds = obj["rounds"]
         except KeyError as exc:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
-        columns = _round_columns(_list_of(dict, rounds, "rounds"))
-        ids = chain(columns["replacement_token"], chain.from_iterable(columns["proposed_tokens"]))
-        return cls._of_checked(obj, _records(columns), _commits(columns), max(ids, default=-1))
+        return cls._of_checked(obj, *_checked_rounds(_list_of(dict, rounds, "rounds")))
 
     @classmethod
     def _of_checked(
-        cls, obj: dict, records: list[RoundRecord], commits: Sequence[list[int]], top: int
+        cls, obj: dict, records: Sequence[RoundRecord], commits: Sequence[list[int]], tops: Sequence[int]
     ) -> "Transcript":
-        """The transcript ``obj`` holds, its rounds checked alone as
-        ``_round_columns`` checks them into ``records``, which commit
-        ``commits`` and hold no token id above ``top``; checks the rest."""
+        """The transcript ``obj`` holds, whose header passed ``_check_header``
+        and whose rounds ``_checked_rounds`` checked alone: ``records``, what
+        each commits and the largest token id of each. Checks the transcript
+        as a whole, over all of its rounds: the token ids against its own
+        vocabulary, the output the rounds commit and the five totals."""
         try:
             t = cls.of(
                 obj["config"],
                 _list_of(int, obj["seed"], "seed"),
                 _list_of(int, obj["prompt"], "prompt"),
                 _list_of(str, obj["vocab"], "vocab"),
-                records,
+                list(records),
                 _list_of(int, obj["output"], "output"),
             )
             for name, relation in _TOTALS:  # bit for bit
@@ -488,7 +504,9 @@ class Transcript:
             raise IoError(f"transcript is malformed: {exc!r}") from exc
         # _round_columns saw no round token id below 0.
         ids = (t.prompt, t.output)
-        if top >= len(t.vocab) or not all(0 <= min(x) and max(x) < len(t.vocab) for x in ids if x):
+        if max(tops, default=-1) >= len(t.vocab) or not all(
+            0 <= min(x) and max(x) < len(t.vocab) for x in ids if x
+        ):
             raise IoError("transcript is malformed: a token id lies outside the vocabulary")
         if t.rounds:
             _check_output(t.output, commits, eos=len(t.vocab) - 1)
@@ -528,27 +546,21 @@ class Transcript:
         still checked as a whole, its shared rounds included. A transcript
         whose config says its verifier is stochastic, or text in another
         layout, loads as without a memo and leaves the memo as it was. The
-        result and any error are the same as without a memo.
+        result and any error are the same as without a memo. Without one,
+        ``text`` is decoded in one call, which is faster than the walk when
+        only one file's repeats would be shared.
         """
         walked = None if memo is None else _walk(text, memo)
         if walked is None:
             return cls.from_dict(_DECODER.decode(text))
         obj, fresh = walked
-        if fresh is None:
-            return cls.from_dict(obj)
         _check_header(obj)
-        columns = _round_columns(list(fresh.values()))
-        checked = _records(columns)
-        for record in checked:
+        checked = _checked_rounds(list(fresh.values()))
+        for record in checked[0]:
             record.share()
-        tops = [
-            max(tokens + [replacement])
-            for tokens, replacement in zip(columns["proposed_tokens"], columns["replacement_token"])
-        ]
-        memo.update(zip(fresh, zip(checked, _commits(columns), tops)))
-        rounds = [memo[piece] for piece in obj["rounds"]]
-        records, commits, tops = zip(*rounds) if rounds else ((), (), ())
-        return cls._of_checked(obj, list(records), commits, max(tops, default=-1))
+        memo.update(zip(fresh, zip(*checked)))
+        rounds = list(map(memo.__getitem__, obj["rounds"]))
+        return cls._of_checked(obj, *(zip(*rounds) if rounds else ((), (), ())))
 
     def save(self, path: str | os.PathLike[str]) -> None:
         try:

@@ -543,6 +543,22 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error: ") and "malformed" in err[0]
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("field", ["draft_latency", "verify_latency", "confidences"])
+    def test_a_401_digit_round_number_fails_with_one_error_line(self, run_out, tmp_path, capsys, field):
+        """The bad round is the second file's, so it is a miss after a warm memo."""
+        text = (run_out / "transcript_0000.json").read_text(encoding="utf-8")
+        t = json.loads(text)
+        t["rounds"][0][field] = [10**400] if field == "confidences" else 10**400
+        (tmp_path / "transcript_0000.json").write_text(text, encoding="utf-8")
+        path = tmp_path / "transcript_0001.json"
+        path.write_text(json.dumps(t, separators=(",", ":")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+        assert "malformed" in err[0]
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_a_non_finite_number_fails_with_one_error_line(self, run_out, tmp_path, capsys):
         text = (run_out / "transcript_0000.json").read_text(encoding="utf-8")
         t = json.loads(text)

@@ -270,6 +270,10 @@ def malformed_payloads(t: Transcript) -> list:
         with_round(draft_latency="1e3"),
         with_round(draft_latency=True),
         with_round(confidences=[0.5, "0.5"]),
+        # An integer no float holds (401 digits) must not escape as OverflowError.
+        with_round(draft_latency=10**400),
+        with_round(verify_latency=10**400),
+        with_round(confidences=[10**400]),
         with_top(output=[1.5]),
         with_top(seed=[True]),
         with_top(speedup="2"),
