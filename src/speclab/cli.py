@@ -47,7 +47,7 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
         config["max_tokens"] = args.max_tokens
     if args.seed is not None:
         config["seed"] = args.seed
-    if getattr(args, "verifier", None) is not None:
+    if args.verifier is not None:
         config["verifier"] = args.verifier
 
 

@@ -157,8 +157,8 @@ class RoundRecord:
 
     Under greedy verification ``run_workload`` hands one record to every
     transcript of the call whose round starts at the same window, and
-    ``report.load_transcripts`` hands one to every transcript whose file
-    holds the same round text, lists included; so a record is read-only:
+    ``Transcript.from_json`` hands one to every round of its memo's loads
+    that holds the same text, lists included; so a record is read-only:
     copy it to change it. Both memos mark each record they share with
     ``share``, and ``Transcript.to_json`` then encodes it once per process
     and keeps the text. Other records keep no text: a stochastic round never
@@ -291,7 +291,7 @@ def _check_output(output: list[int], commits: Sequence[list[int]], eos: int) -> 
     cut it. The round that commits ``<eos>`` ends the episode, so it must be
     the last."""
     flat = list(chain.from_iterable(commits))
-    before_last = len(flat) - len(commits[-1])
+    before_last = len(flat) - len(commits[-1]) if commits else 0
     if eos in flat:
         end = flat.index(eos)
         if end < before_last:
@@ -508,8 +508,7 @@ class Transcript:
             0 <= min(x) and max(x) < len(t.vocab) for x in ids if x
         ):
             raise IoError("transcript is malformed: a token id lies outside the vocabulary")
-        if t.rounds:
-            _check_output(t.output, commits, eos=len(t.vocab) - 1)
+        _check_output(t.output, commits, eos=len(t.vocab) - 1)
         return t
 
     def to_json(self) -> str:
@@ -517,16 +516,14 @@ class Transcript:
         reads any layout. A non-finite number raises ``ValueError``: JSON has
         none.
 
-        The rounds are spliced into the encoding of the other fields. When
-        every round is a record the greedy memo shares, they are the records'
-        kept texts, so each shared record is encoded once per process;
-        otherwise they are one encoding of every round, which is faster than
-        a call per round, and no text is kept.
+        When every round is a record a memo shares, the records' kept texts
+        are spliced into the encoding of the other fields, so each shared
+        record is encoded once per process; otherwise ``to_dict`` is encoded
+        in one call and no text is kept.
         """
-        if all(_TEXT in r.__dict__ for r in self.rounds):
-            rounds = f"[{','.join([r.shared_json() for r in self.rounds])}]"
-        else:
-            rounds = _ENCODER.encode([r.to_dict() for r in self.rounds])
+        if not all(_TEXT in r.__dict__ for r in self.rounds):
+            return _ENCODER.encode(self.to_dict())
+        rounds = f"[{','.join([r.shared_json() for r in self.rounds])}]"
         text = _ENCODER.encode(self._as_dict([]))
         # JSON escapes every quote inside a string, so this text is the key
         # itself; the fields after it hold no object, so the last one is ours.
@@ -538,19 +535,19 @@ class Transcript:
         """Parse ``text``; equal float texts share one float object across
         every transcript loaded in the process.
 
-        ``memo`` is a dict shared by the loads of one batch of files
-        (``report.load_transcripts`` passes one per call). It maps the text
-        of each round object that a compact file holds to its record,
-        checked alone, so loads that meet the same text share one read-only
-        ``RoundRecord`` and decode and check it once; every transcript is
-        still checked as a whole, its shared rounds included. A transcript
-        whose config says its verifier is stochastic, or text in another
-        layout, loads as without a memo and leaves the memo as it was. The
-        result and any error are the same as without a memo. Without one,
-        ``text`` is decoded in one call, which is faster than the walk when
-        only one file's repeats would be shared.
+        The memo maps the text of each round object that a compact greedy
+        file holds to its record, checked alone, so rounds that hold the
+        same text share one read-only ``RoundRecord`` and are decoded and
+        checked once; every transcript is still checked as a whole, its
+        shared rounds included. ``memo`` is a dict shared by the loads of one
+        batch of files (``report.load_transcripts`` passes one per call);
+        without one, the rounds of ``text`` alone share records. A
+        transcript whose config says its verifier is stochastic, or text in
+        another layout, is decoded in one call and leaves the memo as it
+        was. The result and any error are the same with any memo.
         """
-        walked = None if memo is None else _walk(text, memo)
+        memo = {} if memo is None else memo
+        walked = _walk(text, memo)
         if walked is None:
             return cls.from_dict(_DECODER.decode(text))
         obj, fresh = walked
@@ -577,8 +574,8 @@ class Transcript:
     @classmethod
     def load(cls, path: str | os.PathLike[str], memo: dict | None = None) -> "Transcript":
         """``from_json`` of the file at ``path``, with ``memo``; every error
-        names the file. The records of loads that share a memo are shared and
-        read-only, as ``run_workload``'s are."""
+        names the file. The loaded records are shared and read-only, as
+        ``run_workload``'s are."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_json(fh.read(), memo)

@@ -59,9 +59,9 @@ def load_transcripts(run_dir: str | os.PathLike[str]) -> list[Transcript]:
     every transcript's rounds, so one that holds none fails naming its file.
 
     Every load gets the same fresh memo, so a round text that recurs across
-    the files is decoded and checked once and its ``RoundRecord`` is shared
-    by every transcript that holds it, as ``run_workload`` shares it: the
-    loaded records are read-only."""
+    the files, not only within one, is decoded and checked once and its
+    ``RoundRecord`` is shared by every transcript that holds it, as
+    ``run_workload`` shares it: the loaded records are read-only."""
     paths = sorted(glob.glob(os.path.join(str(run_dir), "transcript_*.json")), key=_run_order)
     if not paths:
         raise ConfigError(f"no transcript_*.json files in {run_dir}")
@@ -117,8 +117,8 @@ def write_summary_csv(
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _trajectory_text(transcripts: list[Transcript], per_group: int = 1) -> str:
-    """Plain-text episode walkthroughs.
+def _trajectory_text(transcripts: list[Transcript]) -> str:
+    """Plain-text walkthroughs of the first episode of each group.
 
     Accepted draft text is shown bare, rejected draft text is struck through
     with ``~~..~~``, and every token the target emitted itself (bonus or
@@ -126,22 +126,22 @@ def _trajectory_text(transcripts: list[Transcript], per_group: int = 1) -> str:
     """
     lines: list[str] = []
     for label, group in _grouped(transcripts):
-        for t in group[:per_group]:
-            kind = str(t.config.get("tokenizer", "char"))
-            joiner = "" if kind == "char" else " "
-            lines.append(f"== {label} | seed={t.seed} | {len(t.rounds)} rounds ==")
-            lines.append("prompt: " + detokenize([t.vocab[i] for i in t.prompt], kind))
-            for r in t.rounds:
-                words = [t.vocab[i] for i in r.proposed_tokens]
-                accepted = detokenize(words[: r.accepted_len], kind)
-                rejected = detokenize(words[r.accepted_len :], kind)
-                piece = accepted
-                if rejected:
-                    piece += f"{joiner}~~{rejected}~~"
-                piece += f"{joiner}[{detokenize([t.vocab[r.replacement_token]], kind)}]"
-                lines.append(piece)
-            lines.append("output: " + detokenize([t.vocab[i] for i in t.output], kind))
-            lines.append("")
+        t = group[0]
+        kind = str(t.config.get("tokenizer", "char"))
+        joiner = "" if kind == "char" else " "
+        lines.append(f"== {label} | seed={t.seed} | {len(t.rounds)} rounds ==")
+        lines.append("prompt: " + detokenize([t.vocab[i] for i in t.prompt], kind))
+        for r in t.rounds:
+            words = [t.vocab[i] for i in r.proposed_tokens]
+            accepted = detokenize(words[: r.accepted_len], kind)
+            rejected = detokenize(words[r.accepted_len :], kind)
+            piece = accepted
+            if rejected:
+                piece += f"{joiner}~~{rejected}~~"
+            piece += f"{joiner}[{detokenize([t.vocab[r.replacement_token]], kind)}]"
+            lines.append(piece)
+        lines.append("output: " + detokenize([t.vocab[i] for i in t.output], kind))
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -221,7 +221,8 @@ class TestTranscriptPersistence:
             Transcript.load(path)
 
     def test_malformed_compact_payloads_through_a_warm_memo(self, mixed_lab, tmp_path):
-        """Each payload's unchanged rounds are memo hits and its changed round a miss."""
+        """Each payload's unchanged rounds are memo hits and its changed round a
+        miss; the error is the one a plain load and ``from_dict`` raise."""
         prompt = mixed_lab.prompts(1, seed=33)[0]
         t = run_episode(mixed_lab.target, mixed_lab.drafter, FixedAR(4), CostModel(), prompt, 8)
         good = tmp_path / "good.json"
@@ -231,8 +232,13 @@ class TestTranscriptPersistence:
             assert Transcript.load(good, memo) == t and memo
             path = tmp_path / "malformed.json"
             path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
-            with pytest.raises(IoError, match="malformed"):
+            with pytest.raises(IoError, match="malformed") as whole:
+                Transcript.from_dict(payload)
+            with pytest.raises(IoError, match="malformed") as plain:
+                Transcript.load(path)
+            with pytest.raises(IoError, match="malformed") as warm:
                 Transcript.load(path, memo)
+            assert str(warm.value) == str(plain.value) == f"{path}: {whole.value}"
         path.write_text('{"schema_version":1,"seed":[' + "9" * 5000 + "]}", encoding="utf-8")
         with pytest.raises(IoError, match="not valid JSON"):
             Transcript.load(path, memo)
@@ -295,6 +301,11 @@ def malformed_payloads(t: Transcript) -> list:
         # The output must be what the rounds commit.
         with_top(output=[0 if t.output[0] else 1] + t.output[1:]),
         with_top(output=commits + [commits[0]]),
+        # No rounds commit no output; the totals are what no rounds add up to.
+        with_top(
+            rounds=[], draft_latency=0.0, verify_latency=0.0, total_latency=0.0,
+            vanilla_latency=float(len(t.output)), speedup=0.0,
+        ),
         with_top(rounds={}),
         [t.to_dict()],
         "text",

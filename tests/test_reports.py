@@ -112,8 +112,9 @@ class TestLoadTranscripts:
 
     def test_roundless_transcript_is_rejected(self, tmp_path):
         t = tiny_transcript()
-        t.rounds = []
-        t.draft_latency = t.verify_latency = t.total_latency = t.speedup = 0.0  # what no rounds add up to
+        t.rounds = t.output = []
+        # What no rounds add up to.
+        t.draft_latency = t.verify_latency = t.total_latency = t.vanilla_latency = t.speedup = 0.0
         t.save(tmp_path / "transcript_0000.json")
         with pytest.raises(ConfigError, match="transcript_0000.json has no rounds"):
             load_transcripts(tmp_path)
@@ -166,7 +167,7 @@ def checked_rows(monkeypatch):
 
 
 class TestSharedRoundLoading:
-    """``load_transcripts`` decodes and checks each distinct round text once."""
+    """The loaders decode and check each distinct round text once."""
 
     def test_a_greedy_run_loads_one_record_per_distinct_round_text(self, tmp_path, mixed_lab):
         transcripts = saved_run(tmp_path, mixed_lab)
@@ -185,6 +186,25 @@ class TestSharedRoundLoading:
         texts = [text for path in tmp_path.glob("transcript_*.json") for text in round_texts(path)]
         load_transcripts(tmp_path)
         assert sum(checked_rows) == len(set(texts)) < len(texts)
+
+    def test_a_file_loaded_alone_checks_each_of_its_round_texts_once(
+        self, tmp_path, periodic_lab, mixed_lab, checked_rows
+    ):
+        """Without a memo a greedy file still goes through the walk; a
+        stochastic one is decoded whole, each of its rounds checked once."""
+        prompt = periodic_lab.prompts(1, seed=81)[0]
+        t = run_episode(periodic_lab.target, periodic_lab.drafter, FailFast(), CostModel(), prompt, 80)
+        path = tmp_path / "greedy.json"
+        t.save(path)
+        texts = round_texts(path)
+        assert len(set(texts)) < len(texts)
+        loaded = Transcript.load(path)
+        assert loaded == t
+        assert checked_rows == [len(set(texts))] == [len({id(r) for r in loaded.rounds})]
+        t = saved_run(tmp_path, mixed_lab, verifier="stochastic")[0]
+        checked_rows.clear()
+        assert Transcript.load(tmp_path / "transcript_0000.json") == t
+        assert checked_rows == [len(t.rounds)]
 
     def test_a_shared_round_is_checked_against_each_vocabulary(self, tmp_path, mixed_lab):
         transcripts = saved_run(tmp_path, mixed_lab)
